@@ -238,30 +238,20 @@ class BatchedBackend(Backend):
         if config.engine == "naive":
             return ("the batched backend runs compiled plans only; "
                     "use engine 'auto' or 'compiled'")
-        from repro.stencils.operators import (
-            GameOfLifeOperator,
-            LinearStencilOperator,
-        )
-        from repro.stencils.staged import StagedOperator
+        from repro.engine.batch import operator_batch_refusal
 
-        op = spec.operator
-        if not (isinstance(op, GameOfLifeOperator)
-                or type(op) is LinearStencilOperator
-                or isinstance(op, StagedOperator)):
-            return (f"operator {type(op).__name__} has no batched "
-                    f"kernel; only linear, Game-of-Life and staged "
-                    f"operators are batchable")
-        return None
+        return operator_batch_refusal(spec.operator)
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        from repro.engine.batch import _execute_plan_batched, stack_grids
+        from repro.engine.batch import stack_grids
+        from repro.engine.plan import _execute_plan
 
         grids = (list(ctx.batch_grids) if ctx.batch_grids is not None
                  else [ctx.grid])
         bgrid = stack_grids(ctx.spec, grids)
-        _execute_plan_batched(bgrid=bgrid, plan=ctx.plan,
-                              arena=ctx.config.options.get("arena"),
-                              budget=ctx.budget)
+        _execute_plan(ctx.plan, bgrid,
+                      arena=ctx.config.options.get("arena"),
+                      budget=ctx.budget)
         # both parities go back so member grids are checkpointable and
         # per-instance interiors alias their own buffers, exactly as a
         # single-instance run would leave them

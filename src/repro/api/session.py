@@ -339,12 +339,10 @@ class Session:
 
     def _verify(self, snapshot: Grid, interior: np.ndarray,
                 steps: int) -> bool:
-        from repro.stencils.reference import reference_sweep
+        from repro.stencils.reference import bit_identical, reference_sweep
 
-        ref = reference_sweep(self.spec, snapshot, steps)
-        if np.issubdtype(self.spec.dtype, np.integer):
-            return bool(np.array_equal(ref, interior))
-        return bool(np.allclose(ref, interior, rtol=1e-11, atol=1e-12))
+        return bit_identical(reference_sweep(self.spec, snapshot, steps),
+                             interior)
 
     def _assemble_stats(self, config, backend, engine, schedule, phases,
                         trace, outcome, delta, plan, verified) -> RunStats:

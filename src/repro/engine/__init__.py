@@ -10,16 +10,20 @@ per-run geometry work**:
 * :mod:`repro.engine.plan` — schedule → plan compilation: parity
   resolution, precomputed slices, sanitizer-proven same-step rectangle
   fusion, and batched gather/compute/scatter over flat index arrays;
+  one stream runner executes a plan on a single grid or a stack;
 * :mod:`repro.engine.kernels` — allocation-free ``np.multiply`` /
   ``np.add(out=)`` kernels over per-thread scratch arenas, bit-identical
   to the naive operators;
 * :mod:`repro.engine.cache` — an LRU plan cache (with optional on-disk
   tier) so autotune probes, distributed ranks and benchmark repeats
   compile exactly once;
-* :mod:`repro.engine.batch` — a batch axis over the same plans: N
-  independent instances stacked into one ``[N, ...]`` ping-pong pair,
-  every unit applied to the whole batch in one NumPy call (the
-  ``batched`` backend's engine).
+* :mod:`repro.engine.batch` — N independent instances stacked into one
+  ``[N, ...]`` ping-pong pair (the ``batched`` backend's input).
+
+Every unit and kernel is rank-generic: slices are ``Ellipsis``-prefixed
+and gathers run along the last axis of ``[..., P]`` flat views, so one
+``run`` per unit serves a ``[*padded]`` buffer and an ``[N, *padded]``
+stack alike — a single-instance run is a batch with no leading axis.
 
 See ``docs/performance.md`` for architecture and measured speedups.
 """

@@ -6,19 +6,21 @@ regime where a compiled plan's remaining cost is Python dispatch per
 unit, not math (a fig8-class plan is ~32 units covering ~16k actions
 for under a millisecond of arithmetic).  This module amortises that
 dispatch across the *instance* axis: N grids are stacked into one
-``[N, *padded]`` ping-pong pair and every plan unit applies to all N
-instances in a single NumPy call (``run_batched`` on the units in
-:mod:`repro.engine.plan`; the instance-level analogue of temporal
-vectorization, arXiv 2010.04868 / 2103.08825).
+``[N, *padded]`` ping-pong pair (:class:`BatchGrid`) and the ordinary
+stream runner applies every plan unit to all N instances in a single
+NumPy call (the instance-level analogue of temporal vectorization,
+arXiv 2010.04868 / 2103.08825).
 
-Bit-identity is preserved by construction: slice units gain a leading
-``slice(None)`` (same per-element float sequence, wider arrays), flat
-batch units gather with ``axis=1`` over ``[N, P]`` views (elementwise
-arithmetic is layout-independent).  The plan itself is untouched — the
-cache key stays independent of N, so one compile serves any batch
+There is no batched fork of the engine: every unit in
+:mod:`repro.engine.plan` is rank-generic.  Slice units index with
+``Ellipsis``-prefixed slices and gather units run along the last axis
+of ``[..., P]`` flat views, so a batch is a single-instance run with a
+leading axis.  Bit-identity follows: the per-element float sequence is
+unchanged, the arrays are only wider.  The plan itself is untouched —
+the cache key stays independent of N, so one compile serves any batch
 width.
 
-Plans the batched lowering cannot prove safe are refused by
+Plans that cannot run on stacked buffers are refused by
 :func:`plan_supports_batch`: ghost-zone (private-task) plans snapshot
 per-task boxes whose geometry has no batch form, and generic-operator
 plans call ``spec.operator.apply`` which only knows single-instance
@@ -29,12 +31,10 @@ touched.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.kernels import ScratchArena, thread_arena
-from repro.engine.plan import CompiledPlan
 from repro.stencils.grid import Grid
 from repro.stencils.operators import (
     GameOfLifeOperator,
@@ -43,8 +43,12 @@ from repro.stencils.operators import (
 from repro.stencils.spec import StencilSpec
 from repro.stencils.staged import StagedOperator
 
+if TYPE_CHECKING:
+    from repro.engine.plan import CompiledPlan
+
 __all__ = [
     "BatchGrid",
+    "operator_batch_refusal",
     "plan_supports_batch",
     "stack_grids",
 ]
@@ -55,9 +59,8 @@ class BatchGrid:
     padded buffer at parity ``p``.
 
     The stacked buffers are C-contiguous ``[N, *padded]`` arrays, so a
-    plan unit's slice prefixed with ``slice(None)`` (or an ``axis=1``
-    flat gather over the ``[N, P]`` view) touches every instance in one
-    kernel call.
+    plan unit's ``Ellipsis``-prefixed slice (or a last-axis gather over
+    the ``[N, P]`` flat view) touches every instance in one kernel call.
     """
 
     __slots__ = ("spec", "shape", "n", "buffers")
@@ -112,51 +115,19 @@ def stack_grids(spec: StencilSpec, grids: Sequence[Grid]) -> BatchGrid:
     return BatchGrid(spec, shape, buffers)
 
 
-def plan_supports_batch(plan: CompiledPlan) -> Optional[str]:
+def operator_batch_refusal(op) -> Optional[str]:
+    """Refusal reason when an operator has no batched kernel, else None."""
+    if (isinstance(op, GameOfLifeOperator)
+            or type(op) is LinearStencilOperator
+            or isinstance(op, StagedOperator)):
+        return None
+    return (f"operator {type(op).__name__} has no batched kernel; only "
+            f"linear, Game-of-Life and staged operators are batchable")
+
+
+def plan_supports_batch(plan: "CompiledPlan") -> Optional[str]:
     """Refusal reason when a plan has no batched lowering, else None."""
     if plan.private:
         return ("ghost-zone (private-task) plans have no batched "
                 "lowering; run instances individually")
-    op = plan.spec.operator
-    if not (isinstance(op, GameOfLifeOperator)
-            or type(op) is LinearStencilOperator
-            or isinstance(op, StagedOperator)):
-        return (f"operator {type(op).__name__} has no batched kernel; "
-                f"only linear, Game-of-Life and staged operators are "
-                f"batchable")
-    return None
-
-
-def _execute_plan_batched(plan: CompiledPlan, bgrid: BatchGrid,
-                          arena: Optional[ScratchArena] = None,
-                          budget=None) -> np.ndarray:
-    """Run one compiled plan over all stacked instances at once.
-
-    Mirrors :func:`repro.engine.plan._execute_plan` — same budget
-    checkpoints at entry and between group streams — but dispatches
-    each unit once for the whole batch.  Returns the ``[N, *shape]``
-    interior at the plan's final step.
-    """
-    reason = plan_supports_batch(plan)
-    if reason is not None:
-        raise ValueError(f"plan cannot run batched: {reason}")
-    if bgrid.shape != plan.shape:
-        raise ValueError(
-            f"batch shape {bgrid.shape} != plan shape {plan.shape}"
-        )
-    bufs = bgrid.buffers
-    if not all(b.flags.c_contiguous for b in bufs):
-        raise ValueError("batched plans require C-contiguous buffers")
-    n = bgrid.n
-    flats = (bufs[0].reshape(n, -1), bufs[1].reshape(n, -1))
-    spec = plan.spec
-    if arena is None:
-        arena = thread_arena()
-    if budget is not None:
-        budget.check(f"{plan.scheme} batched plan entry")
-    for si, stream in enumerate(plan.streams):
-        if budget is not None:
-            budget.check(f"batched stream {si}")
-        for unit in stream:
-            unit.run_batched(bufs, flats, spec, arena)
-    return bgrid.interior(plan.steps)
+    return operator_batch_refusal(plan.spec.operator)

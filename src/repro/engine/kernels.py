@@ -8,7 +8,7 @@ emits, those allocations and the per-call slice construction dominate
 the run time on this substrate.
 
 This module provides the two bit-identical rewrites the compiled
-engine uses:
+engine uses, one kernel per operator family and form:
 
 * **slice kernels** — the operator loop expressed as
   ``np.multiply``/``np.add`` with ``out=`` into a reusable per-thread
@@ -21,6 +21,15 @@ engine uses:
   layout, so this too is bit-identical while replacing thousands of
   tiny ufunc dispatches with a handful of large ones.
 
+Every kernel is rank-generic: the compiled slices carry an ``Ellipsis``
+prefix and the gathers run along the last axis of ``[..., P]`` flat
+views, so the same call serves one padded buffer or N stacked
+instances (a leading batch axis only widens the arrays).  Scatters
+index the transposed view (``flat_dst.T[idx] = vals.T``): the same
+last-axis write as ``flat_dst[..., idx]``, but it stays on NumPy's
+first-axis fancy-assignment path, which is markedly faster at every
+rank.
+
 Scratch buffers live in a :class:`ScratchArena`: one geometric-growth
 1D array per (name, dtype), reshaped into views on demand — zero
 steady-state allocation.  Arenas are per-thread (:func:`thread_arena`)
@@ -29,8 +38,9 @@ so compiled plans can be shared by the threaded executor.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +49,8 @@ __all__ = [
     "thread_arena",
     "linear_slices",
     "linear_batch",
-    "linear_batch_many",
     "life_slices",
     "life_batch",
-    "life_batch_many",
 ]
 
 
@@ -68,6 +76,10 @@ class ScratchArena:
             buf = np.empty(cap, dtype=dtype)
             self._bufs[key] = buf
         return buf[:n]
+
+    def view(self, name: str, shape: Sequence[int], dtype) -> np.ndarray:
+        """:meth:`get` reshaped to ``shape``."""
+        return self.get(name, math.prod(shape), dtype).reshape(shape)
 
     @property
     def nbytes(self) -> int:
@@ -101,7 +113,7 @@ def linear_slices(src, dst, out_sl, in_sls, coeffs, arena) -> None:
     out = dst[out_sl]
     np.multiply(src[in_sls[0]], coeffs[0], out=out)
     if len(coeffs) > 1:
-        tmp = arena.get("lin", out.size, out.dtype).reshape(out.shape)
+        tmp = arena.view("lin", out.shape, out.dtype)
         for sl, c in zip(in_sls[1:], coeffs[1:]):
             np.multiply(src[sl], c, out=tmp)
             np.add(out, tmp, out=out)
@@ -110,54 +122,44 @@ def linear_slices(src, dst, out_sl, in_sls, coeffs, arena) -> None:
 def linear_batch(flat_src, flat_dst, idx, off_flats, coeffs, arena) -> None:
     """Many same-step actions of a linear stencil as one gather/scatter.
 
-    ``idx`` holds the flat (padded-array) indices of every output
-    point; tap ``k`` reads ``flat_src[idx + off_flats[k]]``.  The
-    accumulation order per point matches the naive operator exactly.
+    ``flat_src``/``flat_dst`` are ``[..., P]`` flat views of padded
+    buffers; ``idx`` holds the flat indices of every output point
+    (identical for every leading instance); tap ``k`` reads
+    ``flat_src[..., idx + off_flats[k]]``.  The accumulation order per
+    point matches the naive operator exactly.
     """
-    n = idx.shape[0]
-    ish = arena.get("bidx", n, np.intp)
-    acc = arena.get("bacc", n, flat_src.dtype)
-    g = arena.get("bg", n, flat_src.dtype)
+    shape = flat_src.shape[:-1] + idx.shape
+    ish = arena.get("bidx", idx.shape[0], np.intp)
+    acc = arena.view("bacc", shape, flat_src.dtype)
+    g = arena.view("bg", shape, flat_src.dtype)
     np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, out=acc)
+    np.take(flat_src, ish, axis=-1, out=acc)
     np.multiply(acc, coeffs[0], out=acc)
     for off, c in zip(off_flats[1:], coeffs[1:]):
         np.add(idx, off, out=ish)
-        np.take(flat_src, ish, out=g)
+        np.take(flat_src, ish, axis=-1, out=g)
         np.multiply(g, c, out=g)
         np.add(acc, g, out=acc)
-    flat_dst[idx] = acc
-
-
-def linear_batch_many(flat_src, flat_dst, idx, off_flats, coeffs,
-                      arena) -> None:
-    """:func:`linear_batch` across a leading instance axis.
-
-    ``flat_src``/``flat_dst`` are ``[N, P]`` views of N stacked padded
-    buffers; ``idx`` holds the per-instance flat indices (identical for
-    every instance, so one gather with ``axis=1`` serves the whole
-    batch).  Per point the float sequence is exactly the single-instance
-    one — the batch axis only widens the arrays.
-    """
-    n = flat_src.shape[0]
-    m = idx.shape[0]
-    ish = arena.get("bidx", m, np.intp)
-    acc = arena.get("bacc", n * m, flat_src.dtype).reshape(n, m)
-    g = arena.get("bg", n * m, flat_src.dtype).reshape(n, m)
-    np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, axis=1, out=acc)
-    np.multiply(acc, coeffs[0], out=acc)
-    for off, c in zip(off_flats[1:], coeffs[1:]):
-        np.add(idx, off, out=ish)
-        np.take(flat_src, ish, axis=1, out=g)
-        np.multiply(g, c, out=g)
-        np.add(acc, g, out=acc)
-    flat_dst[:, idx] = acc
+    flat_dst.T[idx] = acc.T
 
 
 # ---------------------------------------------------------------------------
 # Game-of-Life kernels
 # ---------------------------------------------------------------------------
+
+def _life_rule(n, centre, arena):
+    """Conway's rule on neighbour counts ``n``; returns the boolean
+    next state in arena scratch shaped like ``n``."""
+    born = arena.view("b1", n.shape, np.bool_)
+    two = arena.view("b2", n.shape, np.bool_)
+    alive = arena.view("b3", n.shape, np.bool_)
+    np.equal(n, 3, out=born)
+    np.equal(n, 2, out=two)
+    np.equal(centre, 1, out=alive)
+    np.logical_and(alive, two, out=two)
+    np.logical_or(born, two, out=born)
+    return born
+
 
 def life_slices(src, dst, out_sl, in_sls, centre_idx, arena) -> None:
     """One region action of the Conway rule with preallocated buffers.
@@ -167,77 +169,28 @@ def life_slices(src, dst, out_sl, in_sls, centre_idx, arena) -> None:
     boolean work, so buffer reuse cannot change results.
     """
     centre = src[centre_idx]
-    n = arena.get("nbuf", centre.size, np.uint8).reshape(centre.shape)
+    n = arena.view("nbuf", centre.shape, np.uint8)
     np.copyto(n, src[in_sls[0]])
     for sl in in_sls[1:]:
         np.add(n, src[sl], out=n)
-    born = arena.get("b1", centre.size, np.bool_).reshape(centre.shape)
-    two = arena.get("b2", centre.size, np.bool_).reshape(centre.shape)
-    alive = arena.get("b3", centre.size, np.bool_).reshape(centre.shape)
-    np.equal(n, 3, out=born)
-    np.equal(n, 2, out=two)
-    np.equal(centre, 1, out=alive)
-    np.logical_and(alive, two, out=two)
-    np.logical_or(born, two, out=born)
-    out = dst[out_sl]
-    np.copyto(out, born, casting="unsafe")
+    np.copyto(dst[out_sl], _life_rule(n, centre, arena), casting="unsafe")
 
 
 def life_batch(flat_src, flat_dst, idx, off_flats, centre_off, arena) -> None:
-    """Batched Conway rule over flat indices (gather → rule → scatter)."""
-    m = idx.shape[0]
-    ish = arena.get("bidx", m, np.intp)
-    n = arena.get("nbuf", m, np.uint8)
-    g = arena.get("gbuf", m, np.uint8)
-    np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, out=n)
-    for off in off_flats[1:]:
-        np.add(idx, off, out=ish)
-        np.take(flat_src, ish, out=g)
-        np.add(n, g, out=n)
-    centre = arena.get("cbuf", m, np.uint8)
-    np.add(idx, centre_off, out=ish)
-    np.take(flat_src, ish, out=centre)
-    born = arena.get("b1", m, np.bool_)
-    two = arena.get("b2", m, np.bool_)
-    alive = arena.get("b3", m, np.bool_)
-    np.equal(n, 3, out=born)
-    np.equal(n, 2, out=two)
-    np.equal(centre, 1, out=alive)
-    np.logical_and(alive, two, out=two)
-    np.logical_or(born, two, out=born)
-    out = arena.get("obuf", m, np.uint8)
-    np.copyto(out, born, casting="unsafe")
-    flat_dst[idx] = out
-
-
-def life_batch_many(flat_src, flat_dst, idx, off_flats, centre_off,
-                    arena) -> None:
-    """:func:`life_batch` across a leading instance axis (exact
-    integer/boolean work, so the widened buffers cannot change results).
+    """Batched Conway rule over flat indices (gather → rule → scatter),
+    along the last axis of ``[..., P]`` views like :func:`linear_batch`.
     """
-    nn = flat_src.shape[0]
-    m = idx.shape[0]
-    ish = arena.get("bidx", m, np.intp)
-    n = arena.get("nbuf", nn * m, np.uint8).reshape(nn, m)
-    g = arena.get("gbuf", nn * m, np.uint8).reshape(nn, m)
+    shape = flat_src.shape[:-1] + idx.shape
+    ish = arena.get("bidx", idx.shape[0], np.intp)
+    n = arena.view("nbuf", shape, np.uint8)
+    g = arena.view("gbuf", shape, np.uint8)
     np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, axis=1, out=n)
+    np.take(flat_src, ish, axis=-1, out=n)
     for off in off_flats[1:]:
         np.add(idx, off, out=ish)
-        np.take(flat_src, ish, axis=1, out=g)
+        np.take(flat_src, ish, axis=-1, out=g)
         np.add(n, g, out=n)
-    centre = arena.get("cbuf", nn * m, np.uint8).reshape(nn, m)
+    centre = arena.view("cbuf", shape, np.uint8)
     np.add(idx, centre_off, out=ish)
-    np.take(flat_src, ish, axis=1, out=centre)
-    born = arena.get("b1", nn * m, np.bool_).reshape(nn, m)
-    two = arena.get("b2", nn * m, np.bool_).reshape(nn, m)
-    alive = arena.get("b3", nn * m, np.bool_).reshape(nn, m)
-    np.equal(n, 3, out=born)
-    np.equal(n, 2, out=two)
-    np.equal(centre, 1, out=alive)
-    np.logical_and(alive, two, out=two)
-    np.logical_or(born, two, out=born)
-    out = arena.get("obuf", nn * m, np.uint8).reshape(nn, m)
-    np.copyto(out, born, casting="unsafe")
-    flat_dst[:, idx] = out
+    np.take(flat_src, ish, axis=-1, out=centre)
+    flat_dst.T[idx] = _life_rule(n, centre, arena).T

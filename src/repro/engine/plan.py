@@ -19,7 +19,11 @@ A :class:`CompiledPlan` hoists all of that to compile time:
   gather/compute/scatter updates over flat index arrays (one ufunc
   dispatch sequence for hundreds of actions);
 * **allocation-free kernels** — the per-unit update runs through
-  :mod:`repro.engine.kernels` into reusable per-thread scratch.
+  :mod:`repro.engine.kernels` into reusable per-thread scratch;
+* **rank-generic units** — each unit has one ``run`` whose slices and
+  gathers ignore leading axes, so :func:`_execute_plan` runs the same
+  plan on a :class:`Grid` or on N instances stacked in a
+  :class:`~repro.engine.batch.BatchGrid`.
 
 Execution order inside a group is lowered to ascending global step,
 which is a valid interleaving of the group's task orders whenever each
@@ -41,17 +45,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.engine.batch import BatchGrid, plan_supports_batch
 from repro.engine.kernels import (
     ScratchArena,
     life_batch,
-    life_batch_many,
     life_slices,
     linear_batch,
-    linear_batch_many,
     linear_slices,
     thread_arena,
 )
@@ -145,9 +148,6 @@ def _fuse_rectangles(regions: List[Region]) -> List[Region]:
 # execution units
 # ---------------------------------------------------------------------------
 
-_ALL = (slice(None),)
-
-
 class _LinearSliceOp:
     """One (possibly fused) rectangle of a linear stencil."""
 
@@ -168,13 +168,6 @@ class _LinearSliceOp:
     def run(self, bufs, flats, spec, arena):
         linear_slices(bufs[self.sp], bufs[self.dp], self.out_sl,
                       self.in_sls, self.coeffs, arena)
-
-    def run_batched(self, bufs, flats, spec, arena):
-        # the same slice kernel over [N, ...] buffers: a leading
-        # slice(None) applies the rectangle to every instance at once
-        linear_slices(bufs[self.sp], bufs[self.dp], _ALL + self.out_sl,
-                      tuple(_ALL + sl for sl in self.in_sls),
-                      self.coeffs, arena)
 
 
 class _LifeSliceOp:
@@ -198,14 +191,10 @@ class _LifeSliceOp:
         life_slices(bufs[self.sp], bufs[self.dp], self.out_sl,
                     self.in_sls, self.centre_sl, arena)
 
-    def run_batched(self, bufs, flats, spec, arena):
-        life_slices(bufs[self.sp], bufs[self.dp], _ALL + self.out_sl,
-                    tuple(_ALL + sl for sl in self.in_sls),
-                    _ALL + self.centre_sl, arena)
-
 
 class _GenericSliceOp:
-    """Fallback for operators the engine has no specialised kernel for."""
+    """Fallback for operators the engine has no specialised kernel for
+    (single-instance only: ``spec.operator.apply`` has no batch form)."""
 
     __slots__ = ("sp", "dp", "t", "region")
 
@@ -244,10 +233,6 @@ class _LinearBatch:
         linear_batch(flats[self.sp], flats[self.dp], self.idx,
                      self.off_flats, self.coeffs, arena)
 
-    def run_batched(self, bufs, flats, spec, arena):
-        linear_batch_many(flats[self.sp], flats[self.dp], self.idx,
-                          self.off_flats, self.coeffs, arena)
-
 
 class _LifeBatch:
     __slots__ = ("sp", "dp", "t", "regions", "idx", "off_flats", "centre_off")
@@ -268,19 +253,16 @@ class _LifeBatch:
         life_batch(flats[self.sp], flats[self.dp], self.idx,
                    self.off_flats, self.centre_off, arena)
 
-    def run_batched(self, bufs, flats, spec, arena):
-        life_batch_many(flats[self.sp], flats[self.dp], self.idx,
-                        self.off_flats, self.centre_off, arena)
-
 
 class _StagedSliceOp:
     """One rectangle of a staged system: every stage, grown and clipped.
 
     The grown intermediates go through the calling thread's
-    zero-exterior scratch (:func:`repro.stencils.staged.stage_scratch`);
-    only ``region`` of each field is copied into the destination
-    parity, so a schedule layer's write-disjointness is exactly the
-    spatial disjointness of its raw regions, same as a plain spec.
+    zero-exterior scratch (:func:`repro.stencils.staged.stage_scratch`,
+    shaped ``lead + pad_shape`` for ``lead`` stacked instances); only
+    ``region`` of each field is copied into the destination parity, so
+    a schedule layer's write-disjointness is exactly the spatial
+    disjointness of its raw regions, same as a plain spec.
     """
 
     __slots__ = ("sp", "dp", "t", "region", "stage_ops", "copy_sls",
@@ -292,33 +274,25 @@ class _StagedSliceOp:
         self.dp = (t + 1) % 2
         self.region = region
         self.stage_ops = stage_ops      # (stage, out_sl, ((new, view_sl),))
-        self.copy_sls = copy_sls        # one (field,) + region slice per field
+        self.copy_sls = copy_sls        # (..., field) + region, per field
         self.pad_shape = pad_shape
 
     def writes(self):
         return [(self.t, self.region)]
 
-    def _apply(self, bufs, spec, arena, pre_shape, pre_sl):
-        scr = stage_scratch(pre_shape + self.pad_shape, spec.dtype)
+    def run(self, bufs, flats, spec, arena):
+        scr = stage_scratch(flats[0].shape[:-1] + self.pad_shape, spec.dtype)
         src = bufs[self.sp]
         dst = bufs[self.dp]
         timed = stage_timings.armed
         for stage, out_sl, view_sls in self.stage_ops:
             t0 = time.perf_counter() if timed else 0.0
-            views = [
-                (scr if new else src)[pre_sl + sl] for new, sl in view_sls
-            ]
-            stage.apply_stage(scr[pre_sl + out_sl], views, arena)
+            views = [(scr if new else src)[sl] for new, sl in view_sls]
+            stage.apply_stage(scr[out_sl], views, arena)
             if timed:
                 stage_timings.record(stage.name, time.perf_counter() - t0)
         for sl in self.copy_sls:
-            np.copyto(dst[pre_sl + sl], scr[pre_sl + sl])
-
-    def run(self, bufs, flats, spec, arena):
-        self._apply(bufs, spec, arena, (), ())
-
-    def run_batched(self, bufs, flats, spec, arena):
-        self._apply(bufs, spec, arena, (bufs[0].shape[0],), _ALL)
+            np.copyto(dst[sl], scr[sl])
 
 
 class _StagedBatch:
@@ -327,8 +301,8 @@ class _StagedBatch:
     Per stage: one position array (union of the rectangles' clipped
     grown regions, in flat spatial-buffer indices), one gather per read
     tap (shift = flat offset + field base), one elementwise
-    ``apply_stage`` on the gathered 1-D arrays, one scatter into the
-    flat scratch.  Overlapping grown regions scatter duplicate
+    ``apply_stage`` on the gathered ``[..., m]`` arrays, one scatter
+    into the flat scratch.  Overlapping grown regions scatter duplicate
     positions with *identical* values (the stage output is a pure
     function of the source parity), so the duplicate writes are benign.
     The final per-field copy touches only the raw (pairwise-disjoint)
@@ -354,9 +328,11 @@ class _StagedBatch:
         return [(self.t, r) for r in self.regions]
 
     def run(self, bufs, flats, spec, arena):
-        scr_flat = stage_scratch(self.pad_shape, spec.dtype).reshape(-1)
-        src_flat = flats[self.sp]
-        dst_flat = flats[self.dp]
+        lead = flats[0].shape[:-1]
+        scr = stage_scratch(lead + self.pad_shape,
+                            spec.dtype).reshape(lead + (-1,))
+        src = flats[self.sp]
+        dst = flats[self.dp]
         timed = stage_timings.armed
         for stage, pos, wshift, shifts in self.stage_ops:
             t0 = time.perf_counter() if timed else 0.0
@@ -364,49 +340,21 @@ class _StagedBatch:
             gathered = []
             for i, (new, shift) in enumerate(shifts):
                 np.add(pos, shift, out=ish)
-                g = arena.get(f"sg{i}", pos.size, spec.dtype)
-                np.take(scr_flat if new else src_flat, ish, out=g)
+                g = arena.view(f"sg{i}", lead + pos.shape, spec.dtype)
+                np.take(scr if new else src, ish, axis=-1, out=g)
                 gathered.append(g)
-            out = arena.get("sg_out", pos.size, spec.dtype)
+            out = arena.view("sg_out", lead + pos.shape, spec.dtype)
             stage.apply_stage(out, gathered, arena)
             np.add(pos, wshift, out=ish)
-            scr_flat[ish] = out
+            scr.T[ish] = out.T
             if timed:
                 stage_timings.record(stage.name, time.perf_counter() - t0)
         ish = arena.get("sg_idx", self.idx.size, np.intp)
-        g = arena.get("sg_copy", self.idx.size, spec.dtype)
+        g = arena.view("sg_copy", lead + self.idx.shape, spec.dtype)
         for f in range(self.num_fields):
             np.add(self.idx, f * self.field_size, out=ish)
-            np.take(scr_flat, ish, out=g)
-            dst_flat[ish] = g
-
-    def run_batched(self, bufs, flats, spec, arena):
-        n = bufs[0].shape[0]
-        scr2 = stage_scratch((n,) + self.pad_shape, spec.dtype).reshape(n, -1)
-        src2 = flats[self.sp]
-        dst2 = flats[self.dp]
-        timed = stage_timings.armed
-        for stage, pos, wshift, shifts in self.stage_ops:
-            t0 = time.perf_counter() if timed else 0.0
-            ish = arena.get("sg_idx", pos.size, np.intp)
-            gathered = []
-            for i, (new, shift) in enumerate(shifts):
-                np.add(pos, shift, out=ish)
-                g = arena.get(f"sgm{i}", n * pos.size,
-                              spec.dtype).reshape(n, pos.size)
-                np.take(scr2 if new else src2, ish, axis=1, out=g)
-                gathered.append(g)
-            out = arena.get("sgm_out", n * pos.size,
-                            spec.dtype).reshape(n, pos.size)
-            stage.apply_stage(out, gathered, arena)
-            np.add(pos, wshift, out=ish)
-            scr2[:, ish] = out
-            if timed:
-                stage_timings.record(stage.name, time.perf_counter() - t0)
-        ish = arena.get("sg_idx", self.idx.size, np.intp)
-        for f in range(self.num_fields):
-            np.add(self.idx, f * self.field_size, out=ish)
-            dst2[:, ish] = scr2[:, ish]
+            np.take(scr, ish, axis=-1, out=g)
+            dst.T[ish] = g.T
 
 
 class _PrivateTask:
@@ -539,10 +487,6 @@ class CompiledPlan:
         self._task_units[group_index] = units
         return units
 
-    def execute(self, grid: Grid, arena: Optional[ScratchArena] = None
-                ) -> np.ndarray:
-        return _execute_plan(self, grid, arena=arena)
-
     def as_schedule(self) -> RegionSchedule:
         """Re-express the compiled stream as a RegionSchedule.
 
@@ -633,15 +577,17 @@ class _CompileCtx:
         ]
 
     def slice_unit(self, t: int, region: Region):
+        # every slice is Ellipsis-prefixed: it addresses one padded
+        # buffer and a stack of them (leading instance axes) alike
+        zero = (0,) * len(region)
         if self.kind == "staged":
             op = self.spec.operator
-            zero = (0,) * len(region)
             stage_ops = []
             for stage, g in zip(op.stages, self._grown_regions(region)):
-                out_sl = ((op.field_index[stage.writes],)
+                out_sl = ((..., op.field_index[stage.writes])
                           + _region_slices(g, self.halo, zero))
                 view_sls = tuple(
-                    (new, (op.field_index[f],)
+                    (new, (..., op.field_index[f])
                      + _region_slices(g, self.halo, off))
                     for f, off, new in stage.reads
                 )
@@ -649,24 +595,23 @@ class _CompileCtx:
             copy_sl = _region_slices(region, self.halo, zero)
             return _StagedSliceOp(
                 t, region, tuple(stage_ops),
-                tuple((f,) + copy_sl for f in range(self.num_fields)),
+                tuple((..., f) + copy_sl for f in range(self.num_fields)),
                 self.padded,
             )
+        here = (...,) + _region_slices(region, self.halo, zero)
         if self.kind == "linear":
             return _LinearSliceOp(
-                t, region,
-                _region_slices(region, self.halo, (0,) * len(region)),
-                tuple(_region_slices(region, self.halo, o)
+                t, region, here,
+                tuple((...,) + _region_slices(region, self.halo, o)
                       for o in self.offs),
                 self.coeffs,
             )
         if self.kind == "life":
             return _LifeSliceOp(
-                t, region,
-                _region_slices(region, self.halo, (0, 0)),
-                tuple(_region_slices(region, self.halo, o)
+                t, region, here,
+                tuple((...,) + _region_slices(region, self.halo, o)
                       for o in self.neigh_offs),
-                _region_slices(region, self.halo, (0, 0)),
+                here,
             )
         return _GenericSliceOp(t, region)
 
@@ -885,15 +830,31 @@ def _compile_private_task(ctx: _CompileCtx, task) -> Optional[_PrivateTask]:
 # execution
 # ---------------------------------------------------------------------------
 
-def _execute_plan(plan: CompiledPlan, grid: Grid,
+def _flat_views(grid) -> tuple:
+    """``[..., P]`` flat views of a grid's ping-pong pair (a
+    :class:`~repro.engine.batch.BatchGrid` keeps its instance axis)."""
+    lead = 1 if isinstance(grid, BatchGrid) else 0
+    return tuple(b.reshape(b.shape[:lead] + (-1,)) for b in grid.buffers)
+
+
+def _execute_plan(plan: CompiledPlan, grid: Union[Grid, BatchGrid],
                   arena: Optional[ScratchArena] = None,
                   budget=None) -> np.ndarray:
-    """Compiled-stream execution (the ``compiled`` backend's engine).
+    """Compiled-stream execution (the ``compiled`` and ``batched``
+    backends' engine).
 
-    ``budget`` is the run-level :class:`~repro.runtime.qos.RunBudget`;
-    when armed it is checked at entry and between group streams (the
-    compiled path's barrier boundaries).
+    ``grid`` is a :class:`Grid` or a
+    :class:`~repro.engine.batch.BatchGrid`: every unit is rank-generic,
+    so a batch runs each unit once for all N stacked instances and the
+    result is the ``[N, *shape]`` interior.  ``budget`` is the run-level
+    :class:`~repro.runtime.qos.RunBudget`; when armed it is checked at
+    entry and between group streams (the compiled path's barrier
+    boundaries).
     """
+    if isinstance(grid, BatchGrid):
+        reason = plan_supports_batch(plan)
+        if reason is not None:
+            raise ValueError(f"plan cannot run batched: {reason}")
     if grid.shape != plan.shape:
         raise ValueError(
             f"grid shape {grid.shape} != plan shape {plan.shape}"
@@ -901,7 +862,7 @@ def _execute_plan(plan: CompiledPlan, grid: Grid,
     bufs = grid.buffers
     if not all(b.flags.c_contiguous for b in bufs):
         raise ValueError("compiled plans require C-contiguous grid buffers")
-    flats = (bufs[0].reshape(-1), bufs[1].reshape(-1))
+    flats = _flat_views(grid)
     spec = plan.spec
     if arena is None:
         arena = thread_arena()
@@ -938,9 +899,8 @@ def execute_plan(plan: CompiledPlan, grid: Grid,
 def run_units(units, grid: Grid, spec: StencilSpec,
               arena: Optional[ScratchArena] = None) -> None:
     """Run one task's compiled units (threaded/resilient task body)."""
-    bufs = grid.buffers
-    flats = (bufs[0].reshape(-1), bufs[1].reshape(-1))
+    flats = _flat_views(grid)
     if arena is None:
         arena = thread_arena()
     for unit in units:
-        unit.run(bufs, flats, spec, arena)
+        unit.run(grid.buffers, flats, spec, arena)

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.stencils.grid import Grid
-from repro.stencils.reference import reference_sweep
+from repro.stencils.reference import bit_identical, reference_sweep
 from repro.stencils.spec import (
     Region,
     StencilSpec,
@@ -194,9 +194,9 @@ def execute_schedule(spec: StencilSpec, grid: Grid,
 
 
 def verify_schedule(spec: StencilSpec, schedule: RegionSchedule,
-                    seed: int = 0, rtol: float = 1e-11,
-                    atol: float = 1e-12, sanitize: bool = False) -> bool:
-    """Check a schedule against the naive reference on a random grid.
+                    seed: int = 0, sanitize: bool = False) -> bool:
+    """Check a schedule bit for bit against the naive reference on a
+    random grid.
 
     With ``sanitize=True`` the structural sanitizer
     (:func:`repro.runtime.sanitizer.sanitize_schedule`) runs first and
@@ -218,9 +218,7 @@ def verify_schedule(spec: StencilSpec, schedule: RegionSchedule,
         out = execute_overlapped(spec, g_sch, schedule)
     else:
         out = _execute_schedule(spec, g_sch, schedule)
-    if np.issubdtype(spec.dtype, np.integer):
-        return bool(np.array_equal(ref, out))
-    return bool(np.allclose(ref, out, rtol=rtol, atol=atol))
+    return bit_identical(ref, out)
 
 
 def schedule_stats(schedule: RegionSchedule) -> Dict[str, float]:

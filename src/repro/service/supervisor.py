@@ -100,8 +100,6 @@ from repro.service.isolation import (
     JobPreempted,
     RemoteJobFailure,
     classify_failure,
-    grid_from_buffer as _grid_from_buffer,  # noqa: F401 - compat re-export
-    merge_stats as _merge_stats,  # noqa: F401 - compat re-export
     prepare_run_config,
     run_batch_segments,
     run_job_segments,
@@ -119,9 +117,6 @@ from repro.service.jobstore import (
 from repro.service.queue import JobQueue
 
 __all__ = ["Supervisor", "SupervisorConfig", "coalesce_key"]
-
-#: pre-isolation spelling, kept for callers of the old private name
-_CHECKPOINTABLE = CHECKPOINTABLE
 
 #: isolation modes a supervisor accepts
 ISOLATION_MODES = ("thread", "process")

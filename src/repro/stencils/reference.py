@@ -70,3 +70,9 @@ def reference_sweep(
     for t in range(t0, t0 + steps):
         reference_step(spec, grid, t)
     return grid.interior(t0 + steps)
+
+
+def bit_identical(ref: np.ndarray, out: np.ndarray) -> bool:
+    """The oracle check: same dtype, same shape, same bytes."""
+    return (ref.dtype == out.dtype and ref.shape == out.shape
+            and ref.tobytes() == out.tobytes())

@@ -67,6 +67,24 @@ class TestVerification:
         ref = reference_sweep(spec, Grid(spec, (24, 24), seed=0), 4)
         assert np.array_equal(ref, result.interior)
 
+    def test_one_ulp_off_is_not_verified(self, monkeypatch):
+        """Verification is bit-exact: a single value one ulp away from
+        the oracle reports ``verified=False``."""
+        backend = get_backend("compiled")
+        real = backend.execute
+
+        def nudged(ctx):
+            outcome = real(ctx)
+            out = outcome.interior
+            out[3, 5] = np.nextafter(out[3, 5], np.inf)
+            return outcome
+
+        monkeypatch.setattr(backend, "execute", nudged)
+        result = Session(heat2d()).run(
+            RunConfig(shape=(24, 24), steps=4, b=4, backend="compiled",
+                      verify=True))
+        assert result.stats.verified is False
+
 
 class TestSanitize:
     def test_clean_schedule_reports(self):

@@ -5,7 +5,8 @@ the arrays N independent ``backend="compiled"`` runs produce — the
 batch axis only changes array traversal (one kernel dispatch serves
 the whole stack), never per-point float operation order.  Both
 lowering paths (slice ops for large rectangles, flat-index gather
-batches for small ones) are pinned, plus the refusal surface and the
+batches for small ones) are pinned by lowering plans directly at
+``batch_threshold`` 1 and 4096, plus the refusal surface and the
 ``batched_hits`` cache counter's wire format.
 """
 
@@ -16,8 +17,15 @@ from hypothesis import given, settings, strategies as st
 from repro import Grid, get_stencil
 from repro.api import RunConfig, Session
 from repro.api.backends import BackendUnsupported
-from repro.engine import BatchGrid, plan_supports_batch, stack_grids
+from repro.engine import (
+    BatchGrid,
+    compile_plan,
+    plan_supports_batch,
+    stack_grids,
+)
 from repro.engine.cache import CacheStats
+from repro.engine.plan import _execute_plan
+from repro.stencils.reference import reference_sweep
 
 pytestmark = pytest.mark.engine
 
@@ -33,12 +41,10 @@ def _solo_interiors(session, config, n):
 
 
 def _assert_batch_matches(kernel, shape, scheme, steps, n, *, b=4,
-                          seed=3, batch_threshold=4096):
+                          seed=3):
     session = Session(get_stencil(kernel))
     config = RunConfig(shape=shape, steps=steps, scheme=scheme, b=b,
-                       seed=seed, backend="batched",
-                       options={"batch_threshold": batch_threshold}
-                       if batch_threshold != 4096 else {})
+                       seed=seed, backend="batched")
     results = session.run_many(config, batch=n)
     solo = _solo_interiors(session, config.normalized(), n)
     assert len(results) == n
@@ -65,24 +71,61 @@ def test_batch_zero_steps():
     _assert_batch_matches("heat1d", (64,), "tess", steps=0, n=4)
 
 
-def test_batch_slice_path():
+def _assert_stacked_plan_matches(kernel, shape, steps, n, *,
+                                 batch_threshold, seed=3, b=4):
+    """Lower one plan at ``batch_threshold``; its run over N stacked
+    grids equals N solo runs of the same plan (and the oracle) byte for
+    byte.  Returns the plan so callers can pin which units it holds."""
+    session = Session(get_stencil(kernel))
+    spec = session.spec
+    sched = session.build(RunConfig(shape=shape, steps=steps, b=b),
+                          shape).schedule
+    plan = compile_plan(spec, sched, batch_threshold=batch_threshold)
+    grids = [Grid(spec, shape, init="random", seed=seed + i)
+             for i in range(n)]
+    stacked = _execute_plan(plan, stack_grids(spec, grids))
+    for i, grid in enumerate(grids):
+        ref = reference_sweep(spec, grid.copy(), steps)
+        solo = _execute_plan(plan, grid)
+        assert stacked.shape == (n,) + solo.shape
+        assert solo.dtype == stacked.dtype == ref.dtype
+        assert solo.tobytes() == ref.tobytes()
+        assert stacked[i].tobytes() == solo.tobytes(), (
+            f"instance {i} of {kernel} (threshold {batch_threshold}) "
+            f"diverged")
+    return plan
+
+
+@pytest.mark.parametrize("kernel,shape", [
+    ("heat2d", (24, 24)),
+    ("life", (20, 20)),
+    ("fdtd2d", (24, 20)),    # staged system: the staged slice body
+], ids=["heat2d", "life", "fdtd2d"])
+def test_batch_slice_path(kernel, shape):
     # batch_threshold=1 forces every fused rectangle onto the slice
     # lowering; the flat-index default covers the gather path
-    _assert_batch_matches("heat2d", (24, 24), "tess", steps=6, n=3,
-                          batch_threshold=1)
+    plan = _assert_stacked_plan_matches(kernel, shape, steps=6, n=3,
+                                        batch_threshold=1)
+    assert plan.stats.sliced_actions > 0
+    assert plan.stats.batches == 0
 
 
 @settings(max_examples=12, deadline=None)
 @given(
+    kernel=st.sampled_from(["heat1d", "heat2d", "life"]),
+    batch_threshold=st.sampled_from([1, 4096]),
     n=st.integers(min_value=1, max_value=5),
     steps=st.integers(min_value=0, max_value=10),
     size=st.integers(min_value=33, max_value=90),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_batch_property_heat1d(n, steps, size, seed):
-    """Any (N, steps, shape, seed): run_many == N compiled runs."""
-    _assert_batch_matches("heat1d", (size,), "tess", steps=steps, n=n,
-                          seed=seed)
+def test_batch_property(kernel, batch_threshold, n, steps, size, seed):
+    """Any kernel, lowering form, N, steps, shape and seed: the stacked
+    run equals N solo compiled runs byte for byte."""
+    shape = (size,) if kernel == "heat1d" else (size // 2, size // 3 + 5)
+    _assert_stacked_plan_matches(kernel, shape, steps=steps, n=n,
+                                 batch_threshold=batch_threshold,
+                                 seed=seed)
 
 
 # -- refusal surface --------------------------------------------------

@@ -9,6 +9,7 @@ from repro.runtime.schedule import (
     ScheduledTask,
     _execute_schedule,
     schedule_stats,
+    verify_schedule,
 )
 from repro.stencils import Grid, heat1d, heat2d
 
@@ -83,6 +84,24 @@ class TestExecuteSchedule:
         from repro.stencils import reference_sweep
         ref = reference_sweep(spec, g2, 2)
         assert np.allclose(out, ref)
+
+    def test_verify_is_bit_exact(self, monkeypatch):
+        import repro.runtime.schedule as schedule_mod
+
+        spec = heat1d()
+        s = RegionSchedule("manual", (8,), 2)
+        s.add(0, [RegionAction(0, ((0, 8),))])
+        s.add(1, [RegionAction(1, ((0, 8),))])
+        assert verify_schedule(spec, s)
+        real = schedule_mod._execute_schedule
+
+        def nudged(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[4] = np.nextafter(out[4], np.inf)  # one ulp
+            return out
+
+        monkeypatch.setattr(schedule_mod, "_execute_schedule", nudged)
+        assert not verify_schedule(spec, s)
 
     def test_rejects_periodic(self):
         spec = heat1d("periodic")
