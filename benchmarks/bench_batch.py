@@ -5,17 +5,21 @@ Standalone script (not a pytest bench) emitting machine-readable
 each batch width N it times the full per-request path both ways —
 
 * **loop**: N independent ``Session.run`` calls (``backend="compiled"``,
-  seeds ``seed .. seed+N-1``), each paying the schedule build, plan
-  lookup and per-unit dispatch alone, exactly like N service jobs
-  running back to back;
+  seeds ``seed .. seed+N-1``), each paying its plan lookup and
+  per-unit dispatch alone, exactly like N service jobs running back to
+  back (warm, so no request builds a schedule: the plan is found from
+  the config);
 * **batched**: one ``Session.run_many`` call (``backend="batched"``,
-  ``batch=N``) that builds the schedule once and runs every plan unit
+  ``batch=N``) that looks the plan up once and runs every plan unit
   over the ``[N, ...]`` stack in a single kernel dispatch.
 
 Results must be bit-identical per instance; the headline number is the
 aggregate instances/sec ratio (``speedup``), plus ``speedup_vs_n1`` —
 the batched throughput at this N against the same workload's N=1 loop
-row, the acceptance metric (>= 5x at N=32 on the fig8-class workload).
+row.  While every request still built its schedule, batching also
+amortised the build and ``speedup_vs_n1`` reached ~25x at N=32 on the
+fig8-class workload (bar: >= 5x); with plan-first warm requests only
+the dispatch is amortised, so the ratio is ~2x there.
 
 Modes mirror ``bench_engine.py``: default (full) runs the fig8-class
 (Heat-1D 4000 points) and fig10-class (Heat-2D 96x96) serving sizes at

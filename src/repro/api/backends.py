@@ -35,6 +35,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.api.builder import TESS_FAMILY
+
 __all__ = [
     "Backend",
     "BackendOutcome",
@@ -339,15 +341,12 @@ class OverlappedBackend(Backend):
 # lattice-walking and distributed backends
 # ---------------------------------------------------------------------------
 
-_TESS_FAMILY = frozenset({"tess", "tess-unmerged"})
-
-
 class PointwiseBackend(Backend):
     """Mask-oracle tessellation executor (the only periodic-capable one)."""
 
     name = "baseline:pointwise"
     kind = "lattice"
-    schemes = _TESS_FAMILY
+    schemes = TESS_FAMILY
     handles_periodic = True
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
@@ -368,7 +367,7 @@ class BlockedBackend(Backend):
 
     name = "baseline:blocked"
     kind = "lattice"
-    schemes = _TESS_FAMILY
+    schemes = TESS_FAMILY
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.executor import _run_blocked

@@ -18,11 +18,29 @@ from typing import Optional, Tuple
 from repro.api.config import RunConfig
 from repro.stencils.spec import StencilSpec
 
-__all__ = ["BuiltSchedule", "ScheduleBuilder", "SCHEMES"]
+__all__ = ["BuiltSchedule", "ScheduleBuilder", "SCHEMES", "SCHEDULE_NAMES"]
+
+#: the ``RegionSchedule.scheme`` each buildable scheme carries — the
+#: name the plan-cache key holds, so a key derived from a config
+#: equals the key of the schedule it builds
+SCHEDULE_NAMES = {
+    "naive": "naive",
+    "spatial": "spatial",
+    "tess": "tessellation-merged",
+    "tess-unmerged": "tessellation",
+    "diamond": "diamond",
+    "pochoir": "cache-oblivious+ws",
+    "mwd": "mwd",
+    "skewed": "time-skewed",
+    "hexagonal": "hexagonal",
+    "overlapped": "overlapped",
+}
 
 #: schemes the builder can construct (mirrors the CLI choices)
-SCHEMES = ["naive", "spatial", "tess", "tess-unmerged", "diamond",
-           "pochoir", "mwd", "skewed", "hexagonal", "overlapped"]
+SCHEMES = list(SCHEDULE_NAMES)
+
+#: schemes whose build also yields a tessellation lattice
+TESS_FAMILY = frozenset({"tess", "tess-unmerged"})
 
 
 @dataclass
@@ -52,6 +70,42 @@ class ScheduleBuilder:
             uncut_dims=config.uncut_dims,
         )
 
+    def lattice_for(self, spec: StencilSpec, shape: Tuple[int, ...],
+                    config: RunConfig):
+        """The lattice :meth:`build` returns beside the schedule: the
+        tessellation lattice for the tess family on a non-empty
+        interior, None otherwise."""
+        if config.scheme not in TESS_FAMILY or any(n == 0 for n in shape):
+            return None
+        return self.lattice(spec, shape, config)
+
+    def schedule_scheme(self, scheme: str) -> str:
+        """The name a schedule built for ``scheme`` carries."""
+        try:
+            return SCHEDULE_NAMES[scheme]
+        except KeyError:
+            raise ValueError(
+                f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
+            ) from None
+
+    def plan_key(self, spec: StencilSpec, config: RunConfig,
+                 shape: Tuple[int, ...], params: Optional[Tuple] = None):
+        """The plan-cache key of what :meth:`build` would lower for
+        ``config`` at ``shape``, computed without building it.
+
+        ``params`` overrides ``config.tile_params()`` the way
+        :meth:`repro.api.Session.execute`'s ``params=`` does.
+        """
+        from repro.engine.cache import PlanKey, spec_signature
+
+        return PlanKey(
+            spec_signature(spec),
+            tuple(int(n) for n in shape),
+            config.steps,
+            self.schedule_scheme(config.scheme),
+            tuple(params if params is not None else config.tile_params()),
+        )
+
     def build(self, spec: StencilSpec, config: RunConfig,
               shape: Optional[Tuple[int, ...]] = None) -> BuiltSchedule:
         """Construct the schedule (+ lattice) for one configuration.
@@ -77,19 +131,19 @@ class ScheduleBuilder:
                      else self.default_shape(spec))
         shape = tuple(int(n) for n in shape)
 
-        lattice = None
+        lattice = self.lattice_for(spec, shape, config)
         if any(n == 0 for n in shape):
             # empty interior: every scheme degenerates to an empty
             # schedule (the lattice builders cannot even represent a
             # 0-cell axis)
-            sched = RegionSchedule(scheme=scheme, shape=shape, steps=steps)
+            sched = RegionSchedule(scheme=self.schedule_scheme(scheme),
+                                   shape=shape, steps=steps)
         elif scheme == "naive":
             sched = naive_schedule(spec, shape, steps, chunks=8)
         elif scheme == "spatial":
             tile = config.tile or tuple(max(4, n // 8) for n in shape)
             sched = spatial_schedule(spec, shape, steps, tile)
-        elif scheme in ("tess", "tess-unmerged"):
-            lattice = self.lattice(spec, shape, config)
+        elif scheme in TESS_FAMILY:
             sched = tess_schedule(spec, shape, lattice, steps,
                                   merged=(scheme == "tess"))
         elif scheme == "diamond":

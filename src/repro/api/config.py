@@ -77,6 +77,10 @@ def normalize_engine(name: str) -> str:
     return name
 
 
+def _int_tuple(values) -> Optional[Tuple[int, ...]]:
+    return tuple(int(v) for v in values) if values is not None else None
+
+
 @dataclass
 class RunConfig:
     """Every knob of one pipeline run, with sane defaults.
@@ -149,10 +153,11 @@ class RunConfig:
             self,
             backend=normalize_backend(self.backend),
             engine=normalize_engine(self.engine),
-            shape=(tuple(int(n) for n in self.shape)
-                   if self.shape is not None else None),
+            shape=_int_tuple(self.shape),
             mutations=tuple(self.mutations),
-            uncut_dims=tuple(self.uncut_dims),
+            uncut_dims=_int_tuple(self.uncut_dims),
+            core_widths=_int_tuple(self.core_widths),
+            tile=_int_tuple(self.tile),
         )
         if cfg.steps < 0:
             raise ValueError(f"steps must be >= 0, got {cfg.steps}")

@@ -2,15 +2,22 @@
 
 ::
 
-    StencilSpec --ScheduleBuilder--> RegionSchedule
-                --engine lowering--> CompiledPlan   (optional)
-                --Backend.execute--> interior + RunStats
+    RunConfig --plan key--> PlanCache.lookup
+        hit:  CompiledPlan (+ its RegionSchedule)
+        miss: --ScheduleBuilder--> RegionSchedule
+              --engine lowering--> CompiledPlan
+    --Backend.execute--> interior + RunStats
+
+Only the compiled engine holds plans: every field of the plan-cache key
+(spec signature, shape, steps, scheme, tile parameters) is known from
+the :class:`RunConfig`, so a warm run skips the schedule build
+entirely.  Naive-engine runs always build, and never lower.
 
 A :class:`Session` binds a stencil spec to a plan cache and a schedule
 builder and exposes the pipeline at three levels:
 
-* :meth:`Session.run` — everything from a :class:`RunConfig` (build,
-  sanitize, lower, execute, verify);
+* :meth:`Session.run` — everything from a :class:`RunConfig` (look
+  up, build on a miss, sanitize, lower, execute, verify);
 * :meth:`Session.execute` — run prebuilt artifacts (schedule, lattice,
   plan) through a backend; this is what the legacy entry-point shims
   delegate to;
@@ -22,7 +29,8 @@ Module-level :func:`run` / :func:`execute` are one-shot conveniences
 that create a throwaway session.
 
 Stats discipline: the compiled plan for one run is obtained **once**,
-before execution, through the session's plan cache.  Retries and
+before execution, through the session's plan cache: one lookup, and
+one compile only when it missed.  Retries and
 restarts inside the resilient backend replay the already-compiled
 plan, so ``RunStats.plan_compiles`` counts each compile exactly once
 — the local backends report the per-run cache delta, the distributed
@@ -229,10 +237,28 @@ class Session:
             # deadline; each fallback hop re-enters and re-arms
             budget = RunBudget.from_policy(config.qos)
 
-        # build ---------------------------------------------------------
+        # look up -------------------------------------------------------
+        # every field of the plan key is known from the config, so a
+        # compiled run asks the cache first and builds only on a miss;
+        # a hit runs the plan's own schedule from here on
+        engine = self._resolve_engine(config, backend)
+        batched = backend.name == "batched"
         need_schedule = backend.kind == "schedule" and schedule is None \
             and plan is None
         need_lattice = backend.kind == "lattice" and lattice is None
+        key = before = None
+        if engine == "compiled" and need_schedule:
+            t0 = time.perf_counter()
+            key = self.builder.plan_key(spec, config, shape, params)
+            before = self.cache.stats.as_dict()
+            plan = self.cache.lookup(key, batched=batched)
+            phases["lower"] = time.perf_counter() - t0
+            if plan is not None:
+                schedule = plan.schedule
+                lattice = self.builder.lattice_for(spec, shape, config)
+                need_schedule = False
+
+        # build ---------------------------------------------------------
         if need_schedule or need_lattice:
             t0 = time.perf_counter()
             if need_schedule:
@@ -250,8 +276,7 @@ class Session:
 
         if grid is None:
             grid = Grid(spec, tuple(shape), init="random", seed=config.seed)
-        if (backend.name == "batched" and batch_grids is None
-                and config.batch > 1):
+        if (batched and batch_grids is None and config.batch > 1):
             # config-driven batch: instance 0 is the caller's grid,
             # further members seed deterministically with seed + i
             batch_grids = [grid] + [
@@ -272,17 +297,23 @@ class Session:
             sanitizer_report.raise_if_violations()
 
         # lower ---------------------------------------------------------
-        engine = self._resolve_engine(config, backend)
-        delta = None
         if engine == "compiled" and plan is None:
             t0 = time.perf_counter()
-            before = self.cache.stats.as_dict()
-            plan = self.lower(schedule,
-                              params if params is not None
-                              else config.tile_params(),
-                              batched=backend.name == "batched")
-            delta = cache_delta(before, self.cache.stats.as_dict())
-            phases["lower"] = time.perf_counter() - t0
+            if key is not None:
+                # the lookup above missed: compile what was just built
+                plan = self.cache.compile(spec, schedule, key,
+                                          batched=batched)
+            else:
+                # a caller-built schedule: look it up by the schedule
+                before = self.cache.stats.as_dict()
+                plan = self.lower(schedule,
+                                  params if params is not None
+                                  else config.tile_params(),
+                                  batched=batched)
+            phases["lower"] = (phases.get("lower", 0.0)
+                               + time.perf_counter() - t0)
+        delta = (cache_delta(before, self.cache.stats.as_dict())
+                 if before is not None else None)
         if plan is not None and backend.name in _POOLED_BACKENDS:
             # materialise per-group units before any pool thread runs
             for gi in range(len(plan.group_ids)):
@@ -337,6 +368,22 @@ class Session:
                     else "naive")
         return config.engine
 
+    @staticmethod
+    def _schedule_summary(schedule, plan) -> Dict[str, Any]:
+        """``schedule_stats(schedule)``, computed once per plan.
+
+        A run of the plan's own schedule gets a copy of the plan's
+        memo, so a caller editing its stats never changes a later
+        run's; any other schedule is summarised afresh.
+        """
+        from repro.runtime.schedule import schedule_stats
+
+        if plan is None or schedule is not plan.schedule:
+            return schedule_stats(schedule)
+        if plan.schedule_summary is None:
+            plan.schedule_summary = schedule_stats(schedule)
+        return dict(plan.schedule_summary)
+
     def _verify(self, snapshot: Grid, interior: np.ndarray,
                 steps: int) -> bool:
         from repro.stencils.reference import bit_identical, reference_sweep
@@ -360,9 +407,7 @@ class Session:
             verified=verified,
         )
         if schedule is not None:
-            from repro.runtime.schedule import schedule_stats
-
-            stats.schedule = schedule_stats(schedule)
+            stats.schedule = self._schedule_summary(schedule, plan)
         if outcome.comm is not None:
             # rank-side compiles are the authoritative tally: the local
             # cache never saw these plans

@@ -39,6 +39,7 @@ from repro.engine.plan import (
 from repro.engine.cache import (
     CacheStats,
     PlanCache,
+    PlanKey,
     default_cache,
     get_plan,
     plan_key,
@@ -57,6 +58,7 @@ __all__ = [
     "thread_arena",
     "CacheStats",
     "PlanCache",
+    "PlanKey",
     "default_cache",
     "get_plan",
     "plan_key",

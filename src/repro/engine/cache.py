@@ -6,7 +6,12 @@ identical schedules from identical parameters.  The cache keys a
 it — a structural *spec signature* (operator class, offsets,
 coefficients, dtype, boundary), the grid shape, step count, scheme name
 and the scheme's tile parameters — so the second request for the same
-configuration is a dictionary hit instead of a recompilation.
+configuration is a dictionary hit instead of a recompilation.  Every
+key field is also known from a run configuration, so
+:class:`~repro.api.Session` asks :meth:`PlanCache.lookup` before it
+builds a schedule and builds only when the lookup misses
+(:meth:`PlanCache.compile`); callers holding a schedule use
+:meth:`PlanCache.get`.
 
 Two tiers:
 
@@ -30,7 +35,7 @@ import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.engine.plan import CompiledPlan, compile_plan
 from repro.runtime.schedule import RegionSchedule
@@ -41,6 +46,7 @@ from repro.stencils.staged import canonical_spec
 __all__ = [
     "CacheStats",
     "PlanCache",
+    "PlanKey",
     "default_cache",
     "get_plan",
     "plan_key",
@@ -76,21 +82,36 @@ def spec_signature(spec: StencilSpec) -> Tuple:
     return parts
 
 
+class PlanKey(NamedTuple):
+    """Everything that determines a compiled plan (see :func:`plan_key`)."""
+
+    signature: Tuple
+    shape: Tuple[int, ...]
+    steps: int
+    #: the built schedule's own name (``"tessellation-merged"``), not
+    #: the configuration's (``"tess"``): one key space for every caller
+    scheme: str
+    params: Tuple
+    batch_threshold: int = 4096
+    fuse: bool = True
+
+
 def plan_key(
     spec: StencilSpec,
     schedule: RegionSchedule,
     params: Tuple = (),
     batch_threshold: int = 4096,
     fuse: bool = True,
-) -> Tuple:
+) -> PlanKey:
     """Cache key: (spec signature, shape, steps, scheme, tile params).
 
     ``params`` carries whatever the scheme was built from (``b``, core
     widths, phase layout ...) — callers that derive schedules from
     parameters pass them so distinct tilings of the same scheme name
-    never collide.
+    never collide.  :meth:`repro.api.ScheduleBuilder.plan_key` derives
+    the same key from a run configuration without building anything.
     """
-    return (
+    return PlanKey(
         spec_signature(spec),
         tuple(schedule.shape),
         schedule.steps,
@@ -212,7 +233,61 @@ class PlanCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
+    def _probe(self, key: PlanKey, batched: bool,
+               disk: bool = True) -> Optional[CompiledPlan]:
+        """Memory, then disk; counts a hit.  The caller holds the lock."""
+        plan = self._entries.get(key)
+        if plan is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            if batched:
+                self.stats.batched_hits += 1
+            return plan
+        # an unpickled plan is self-contained: units, indices and its
+        # own copy of the spec are plain data
+        plan = self._disk_load(key) if disk else None
+        if plan is not None:
+            self.stats.disk_hits += 1
+            self._insert(key, plan)
+        return plan
+
     # -- public API --------------------------------------------------
+
+    def lookup(self, key: PlanKey,
+               batched: bool = False) -> Optional[CompiledPlan]:
+        """The plan stored under ``key`` (memory tier, then disk), or None.
+
+        A hit counts in ``hits`` (``disk_hits`` for the disk tier); a
+        miss counts nothing — the :meth:`compile` that follows it does.
+        ``batched=True`` marks the lookup as made on behalf of a
+        many-instances run: the key is unchanged (one compile serves
+        any batch width), only the ``batched_hits`` counter moves.
+        """
+        with self._lock:
+            return self._probe(key, batched)
+
+    def compile(self, spec: StencilSpec, schedule: RegionSchedule,
+                key: PlanKey, batched: bool = False) -> CompiledPlan:
+        """Lower ``schedule`` and store it under ``key`` after a
+        :meth:`lookup` missed.
+
+        ``key`` must be :func:`plan_key` of ``schedule``; its
+        ``batch_threshold`` and ``fuse`` drive the lowering.  When
+        another thread stored the plan since the lookup, that plan is
+        returned and counted as a hit.
+        """
+        with self._lock:
+            plan = self._probe(key, batched, disk=False)
+            if plan is not None:
+                return plan
+            self.stats.misses += 1
+            plan = compile_plan(spec, schedule,
+                                batch_threshold=key.batch_threshold,
+                                fuse=key.fuse)
+            self.stats.compile_seconds += plan.stats.compile_seconds
+            self._insert(key, plan)
+            self._disk_store(key, plan)
+            return plan
 
     def get(
         self,
@@ -223,37 +298,14 @@ class PlanCache:
         fuse: bool = True,
         batched: bool = False,
     ) -> CompiledPlan:
-        """Return the compiled plan for ``schedule``, compiling on miss.
-
-        ``batched=True`` marks the lookup as made on behalf of a
-        many-instances run: the key is unchanged (one compile serves
-        any batch width), only the ``batched_hits`` counter moves.
-        """
+        """Return the compiled plan for ``schedule``, compiling on miss
+        (``batched`` as in :meth:`lookup`)."""
         key = plan_key(spec, schedule, params=params,
                        batch_threshold=batch_threshold, fuse=fuse)
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                if batched:
-                    self.stats.batched_hits += 1
-                return plan
-            plan = self._disk_load(key)
-            if plan is not None:
-                # unpickled plans lose nothing: units and indices are
-                # plain data; refresh the live spec so operator identity
-                # is the caller's
-                self.stats.disk_hits += 1
-                self._insert(key, plan)
-                return plan
-            self.stats.misses += 1
-            plan = compile_plan(spec, schedule,
-                                batch_threshold=batch_threshold, fuse=fuse)
-            self.stats.compile_seconds += plan.stats.compile_seconds
-            self._insert(key, plan)
-            self._disk_store(key, plan)
-            return plan
+        plan = self.lookup(key, batched)
+        if plan is None:
+            plan = self.compile(spec, schedule, key, batched)
+        return plan
 
     def clear(self) -> None:
         with self._lock:

@@ -460,6 +460,10 @@ class CompiledPlan:
     private: bool
     stats: PlanStats
     schedule: RegionSchedule = field(repr=False)
+    #: ``schedule_stats(schedule)``, filled in by the first run that
+    #: reports it; later runs of the plan get a copy
+    schedule_summary: Optional[Dict[str, float]] = field(default=None,
+                                                         repr=False)
     _task_units: Dict[int, List[list]] = field(default_factory=dict,
                                                repr=False)
 

@@ -230,7 +230,7 @@ def schedule_stats(schedule: RegionSchedule) -> Dict[str, float]:
     for n in schedule.shape:
         interior *= n
     required = interior * schedule.steps
-    total = schedule.total_points()
+    total = sum(sizes)  # schedule.total_points() without a second walk
     return {
         "scheme": schedule.scheme,
         "tasks": len(schedule.tasks),

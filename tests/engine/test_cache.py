@@ -205,6 +205,162 @@ def test_cache_stats_dict_round_trips_disk_corrupt():
     assert st.disk_corrupt == 0
 
 
+# -- plan-first Session runs: lookup before build -------------------
+
+def _session_run(session, **kw):
+    from repro.api import RunConfig
+
+    config = RunConfig(**{**dict(shape=(64,), steps=8, b=4, scheme="tess",
+                                 backend="compiled"), **kw})
+    return session.run(config, grid=Grid(session.spec, (64,), seed=1))
+
+
+def test_warm_run_hits_without_building():
+    from repro.api import Session
+
+    session = Session(get_stencil("heat1d"), cache=PlanCache())
+    cold = _session_run(session)
+    assert (cold.stats.cache.misses, cold.stats.cache.hits) == (1, 0)
+    assert (cold.stats.plan_compiles, cold.stats.cache_hits) == (1, 0)
+    assert "build" in cold.stats.phases
+    warm = _session_run(session)
+    assert warm.stats.cache_hits == 1
+    assert warm.stats.plan_compiles == 0
+    assert (warm.stats.cache.misses, warm.stats.cache.hits) == (0, 1)
+    assert "build" not in warm.stats.phases
+    assert warm.schedule is warm.plan.schedule
+    assert warm.lattice is not None  # rebuilt for the tess family
+    assert warm.interior.tobytes() == cold.interior.tobytes()
+
+
+def test_one_entry_per_config():
+    """The key derived from the config and the key the compile stores
+    are one key space: no alias entries."""
+    from repro.api import Session
+
+    session = Session(get_stencil("heat1d"), cache=PlanCache(capacity=64))
+    configs = [dict(scheme=scheme, b=b)
+               for scheme in ("tess", "tess-unmerged", "naive", "pochoir")
+               for b in (2, 4)]
+    results = [_session_run(session, **kw) for kw in configs]
+    assert len(session.cache) == len(configs)
+    for kw in configs:
+        _session_run(session, **kw)
+    assert len(session.cache) == len(configs)
+    assert session.cache.stats.hits == len(configs)
+    assert session.cache.stats.misses == len(configs)
+    # a caller holding the built schedule finds the same entries
+    for res in results:
+        assert session.lower(res.schedule, res.config.tile_params()) \
+            is res.plan
+    assert len(session.cache) == len(configs)
+    assert session.cache.stats.misses == len(configs)
+
+
+def test_hit_sanitizes_the_plan_schedule():
+    from repro.api import Session
+
+    session = Session(get_stencil("heat1d"), cache=PlanCache())
+    _session_run(session)
+    warm = _session_run(session, sanitize=True, verify=True)
+    assert warm.stats.cache_hits == 1
+    assert warm.sanitizer is not None and warm.sanitizer.ok
+    assert warm.stats.verified is True
+
+
+def test_schedule_stats_are_a_copy_per_run():
+    from repro.api import Session
+    from repro.runtime.schedule import schedule_stats
+
+    session = Session(get_stencil("heat1d"), cache=PlanCache())
+    first = _session_run(session)
+    expected = schedule_stats(first.schedule)
+    first.stats.schedule["tasks"] = -1
+    hit = _session_run(session)
+    assert hit.stats.schedule == expected
+    hit.stats.schedule.clear()
+    assert _session_run(session).stats.schedule == expected
+
+
+def test_stats_describe_a_caller_schedule_not_the_plan():
+    from repro.api import Session
+    from repro.runtime.schedule import schedule_stats
+
+    spec = get_stencil("heat1d")
+    session = Session(spec, cache=PlanCache())
+    plan = _session_run(session).plan
+    other = naive_schedule(spec, (64,), 8, chunks=2)
+    result = session.execute(Grid(spec, (64,), seed=1), other, plan=plan,
+                             backend="compiled")
+    assert result.stats.schedule == schedule_stats(other)
+    assert plan.schedule_summary == schedule_stats(plan.schedule)
+
+
+def test_concurrent_cold_runs_compile_once():
+    """Threads that all miss the lookup and all build still leave one
+    plan, one compile and one counted lookup each."""
+    import sys
+    import threading
+
+    from repro.api import Session
+
+    session = Session(get_stencil("heat1d"), cache=PlanCache())
+    threads_n = 6
+    # every thread reaches the build (so every lookup has missed)
+    # before any of them compiles
+    built = threading.Barrier(threads_n)
+    build = session.builder.build
+
+    def gated_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        built.wait(timeout=60)
+        return out
+
+    session.builder.build = gated_build
+    results, errors = [], []
+
+    def worker():
+        try:
+            results.append(_session_run(session))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker)
+                   for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(session.cache) == 1
+    stats = session.cache.stats
+    assert (stats.misses, stats.hits) == (1, threads_n - 1)
+    assert len({r.interior.tobytes() for r in results}) == 1
+
+
+def test_disk_tier_skips_build_in_a_fresh_cache(tmp_path):
+    from repro.api import Session
+
+    spec = get_stencil("heat1d")
+    first = _session_run(Session(spec, cache=PlanCache(
+        disk_dir=str(tmp_path))))
+    assert first.stats.plan_compiles == 1
+    fresh = PlanCache(disk_dir=str(tmp_path))
+    again = _session_run(Session(spec, cache=fresh))
+    assert fresh.stats.disk_hits == 1
+    assert fresh.stats.misses == 0
+    assert again.stats.plan_compiles == 0
+    assert "build" not in again.stats.phases
+    assert again.interior.tobytes() == first.interior.tobytes()
+    assert again.stats.schedule == first.stats.schedule
+
+
 # -- autotune: second probe of identical params hits -----------------
 
 def test_autotune_second_probe_hits_cache():
