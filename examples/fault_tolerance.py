@@ -1,76 +1,88 @@
-"""Fault-tolerant execution: injected failures, exact recovery.
+"""Fault tolerance: injected failures, detected loudly, recovered exactly.
 
 The barrier groups that make tessellated schedules parallel are also
 consistency points: at every barrier the ping-pong pair is a complete
-state.  The ``resilient`` backend checkpoints there, retries failed
-tasks, and restores/replays groups on corruption — so a run hit by
-injected faults still produces results *bit-identical* to a fault-free
-run.  The ``distributed`` backend does the same per phase, with a
-divergence detector guarding the ghost-band exchanges.
+state.  The job service builds its one local recovery path on that:
+a job on a checkpointable backend (serial, compiled, threaded) runs in
+segments, each sealed as a checkpoint, and a job that fails mid-run is
+retried from its newest checkpoint — bit-identical to an unbroken run.
+
+The distributed simulator recovers nothing in-run; its divergence
+detector turns a lost ghost-band exchange into a loud
+``GhostDivergenceError`` (CLI exit 4), which the service retries.
 
 Run: ``PYTHONPATH=src python examples/fault_tolerance.py``
-CLI equivalent::
+CLI equivalent of the detector half::
 
-    python -m repro run heat2d --shape 64 64 --steps 12 -b 4 \
-        --threads 4 --resilient --inject crash@1/0 --inject corrupt@3
     python -m repro dist heat1d --shape 400 --steps 16 -b 4 --ranks 4 \
-        --resilient --inject drop@2/1
+        --check-divergence --inject drop@2/1
 """
+
+import tempfile
 
 import numpy as np
 
 from repro import get_stencil
 from repro.api import RunConfig, Session
-from repro.runtime import (
-    ExecutionError, FaultPlan, FaultSpec, ResiliencePolicy,
-)
+from repro.runtime import FaultPlan, FaultSpec, GhostDivergenceError
+from repro.service import JobStore, Supervisor, SupervisorConfig
+
+
+class FaultySession(Session):
+    """Injects one worker crash into the third segment of a job."""
+
+    calls = 0
+
+    def run(self, config=None, **overrides):
+        self.calls += 1
+        if self.calls == 3:
+            overrides["fault_plan"] = FaultPlan(
+                [FaultSpec("crash", group=1, task=0)])
+        return super().run(config, **overrides)
 
 
 def main() -> None:
+    # -- service: a job dies mid-run and resumes from its checkpoint --
+    job_config = {"shape": [64, 64], "steps": 12, "scheme": "tess",
+                  "b": 4, "backend": "threaded", "threads": 2}
     spec = get_stencil("heat2d")
-    session = Session(spec)
-    base = RunConfig(shape=(64, 64), steps=12, scheme="tess", b=4)
+    ref = Session(spec).run(RunConfig.from_json(job_config)).interior
 
-    ref = session.run(base).interior.copy()
+    with tempfile.TemporaryDirectory() as root:
+        with JobStore(root, fsync=False) as store:
+            sup = Supervisor(store, SupervisorConfig(
+                workers=1, isolation="thread", checkpoint_steps=3,
+                retry_backoff_s=0.001))
+            # the supervisor keeps one Session per kernel; seed it with
+            # the faulty one before the first job leases
+            sup._sessions["heat2d"] = FaultySession(spec)
+            sup.start()
+            try:
+                job, _ = sup.submit("heat2d", job_config)
+                job = sup.wait(job.job_id, timeout=120)
+            finally:
+                sup.stop()
+            interior, _ = store.load_result(job.job_id)
+    exact = np.array_equal(ref, interior)
+    print(f"job {job.state} after {job.attempts} attempt(s), resumed "
+          f"from the step-{job.resumed_from_step} checkpoint")
+    print(f"  resumed job bit-identical to an unbroken run: {exact}")
+    assert job.state == "done" and job.resumed_from_step == 6 and exact
 
-    # -- shared memory: crash + silent corruption + stall ------------
-    plan = FaultPlan([
-        FaultSpec("crash", group=1, task=0),            # worker dies
-        FaultSpec("corrupt", group=3, task=1),          # silent NaNs
-        FaultSpec("stall", group=2, task=0, stall_s=0.05),
-    ])
-    result = session.run(
-        base, backend="resilient", threads=4, fault_plan=plan,
-        resilience=ResiliencePolicy(task_deadline_s=0.02))
-    report = result.stats.resilience
-    exact = np.array_equal(ref, result.interior)
-    print(f"injected {len(plan.faults)} faults ({plan.describe()})")
-    print(f"  {report.describe()}")
-    print(f"  recovered bit-identical to fault-free run: {exact}")
-    assert exact
-
-    # -- a persistent failure stays loud, not silent -----------------
-    dead = FaultPlan([FaultSpec("crash", group=2, task=0, max_hits=10_000)])
-    try:
-        session.run(base, backend="resilient", threads=4,
-                    resilience=ResiliencePolicy(), fault_plan=dead)
-    except ExecutionError as e:
-        print(f"persistent fault -> structured error: {e}")
-
-    # -- distributed: dropped ghost-band exchange --------------------
-    spec1 = get_stencil("heat1d")
-    dsession = Session(spec1)
+    # -- distributed: a dropped ghost-band exchange is detected ------
+    dsession = Session(get_stencil("heat1d"))
     dist = RunConfig(shape=(400,), steps=16, scheme="tess", b=4,
-                     backend="distributed", ranks=4)
-    base_out = dsession.run(dist).interior
-    dplan = FaultPlan([FaultSpec("drop", group=2, task=1)])
-    res = dsession.run(dist, fault_plan=dplan,
-                       resilience=ResiliencePolicy())
-    exact1 = np.array_equal(base_out, res.interior)
-    print(f"distributed: dropped exchange at stage 2 -> "
-          f"{res.stats.comm.phase_restarts} phase replay(s), "
-          f"recovered bit-identical: {exact1}")
-    assert exact1
+                     backend="distributed", ranks=4,
+                     check_divergence=True)
+    clean = dsession.run(dist, verify=True)
+    print(f"distributed: fault-free run verified: {clean.stats.verified}")
+    try:
+        dsession.run(dist, fault_plan=FaultPlan(
+            [FaultSpec("drop", group=2, task=1)]))
+    except GhostDivergenceError as e:
+        print(f"distributed: dropped exchange -> detected: {e}")
+    else:
+        raise AssertionError("the detector missed a dropped exchange")
 
 
 if __name__ == "__main__":

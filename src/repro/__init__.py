@@ -34,8 +34,6 @@ from repro.core import (
     AxisProfile,
     TessLattice,
     make_lattice,
-    run_blocked,
-    run_merged,
     run_pointwise,
 )
 from repro.api import (
@@ -62,8 +60,6 @@ __all__ = [
     "AxisProfile",
     "TessLattice",
     "make_lattice",
-    "run_blocked",
-    "run_merged",
     "run_pointwise",
     "RunConfig",
     "RunResult",

@@ -11,14 +11,12 @@ Entry points:
   :class:`RunStats` schema;
 * :class:`RunConfig` — every knob of a run in one dataclass;
 * the backend registry (:func:`get_backend`, :func:`backend_names`,
-  :func:`register_backend`) — ``serial``, ``compiled``, ``threaded``,
-  ``resilient``, ``distributed``, ``elastic`` and the ``baseline:*``
+  :func:`register_backend`) — ``serial``, ``compiled``, ``batched``,
+  ``threaded``, ``distributed``, ``elastic`` and the ``baseline:*``
   family behind one :class:`Backend` protocol.
 
 See ``docs/architecture.md`` for the full pipeline diagram and schema
-reference.  The historical entry points (``execute_schedule``,
-``execute_threaded``, ``run_blocked``, ...) still work but are
-deprecation shims over this module.
+reference.
 """
 
 from repro.api.backends import (
@@ -38,7 +36,6 @@ from repro.api.config import (
     normalize_backend,
     normalize_engine,
 )
-from repro.api.deprecation import warn_legacy
 from repro.api.driver import drive_groups, phase_windows, run_actions
 from repro.api.fallback import run_with_fallback
 from repro.api.session import Session, execute, run
@@ -80,5 +77,4 @@ __all__ = [
     "run",
     "run_actions",
     "run_with_fallback",
-    "warn_legacy",
 ]

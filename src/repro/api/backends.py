@@ -12,7 +12,6 @@ to singleton instances:
 ``compiled``        compiled-plan stream (:mod:`repro.engine`)
 ``batched``         one compiled plan over N stacked instances
 ``threaded``        barrier-group thread pool, fail-fast
-``resilient``       checkpoint/restart + retries + guards
 ``distributed``     in-process rank simulator with band exchanges
 ``elastic``         real rank processes, heartbeats, crash recovery
 ``baseline:pointwise``  mask-oracle lattice executor (periodic OK)
@@ -83,7 +82,6 @@ class BackendOutcome:
 
     interior: np.ndarray
     comm: object = None  #: CommStats (distributed family)
-    resilience: object = None  #: ResilienceReport (resilient backend)
 
 
 class Backend:
@@ -109,7 +107,7 @@ class Backend:
         if getattr(spec, "is_staged", False) and self.kind == "lattice":
             return ("lattice executors walk single-field buffers; staged "
                     "systems run on the schedule backends (serial, "
-                    "compiled, batched, threaded, resilient)")
+                    "compiled, batched, threaded)")
         if self.schemes is not None and config.scheme not in self.schemes:
             return (f"scheme {config.scheme!r} not supported "
                     f"(supports: {sorted(self.schemes)})")
@@ -282,32 +280,6 @@ class ThreadedBackend(Backend):
         return BackendOutcome(interior=out)
 
 
-class ResilientBackend(Backend):
-    """Checkpoint/restart executor with retries and invariant guards."""
-
-    name = "resilient"
-    consumes_plan = True
-
-    def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        from repro.runtime.resilience import (
-            ResiliencePolicy,
-            _execute_resilient,
-        )
-
-        cfg = ctx.config
-        policy = cfg.resilience or ResiliencePolicy()
-        out, report = _execute_resilient(
-            ctx.spec, ctx.grid, ctx.schedule,
-            policy=policy,
-            fault_plan=cfg.fault_plan,
-            num_threads=max(1, cfg.threads),
-            trace=ctx.trace,
-            plan=ctx.plan,
-            budget=ctx.budget,
-        )
-        return BackendOutcome(interior=out, resilience=report)
-
-
 class OverlappedBackend(Backend):
     """Ghost-zone executor for private-task (overlapped) schedules."""
 
@@ -418,9 +390,7 @@ class DistributedBackend(Backend):
             ctx.spec, ctx.grid, ctx.lattice, cfg.steps, cfg.ranks,
             axis=cfg.axis,
             fault_plan=cfg.fault_plan,
-            check_divergence=cfg.check_divergence or cfg.resilient,
-            resilient=cfg.resilient,
-            max_phase_restarts=cfg.max_phase_restarts,
+            check_divergence=cfg.check_divergence,
             ghost_override=cfg.ghost,
             trace=ctx.trace,
             sanitize=cfg.sanitize,
@@ -455,7 +425,7 @@ class ElasticBackend(Backend):
 
 for _backend in (
     SerialBackend(), CompiledBackend(), BatchedBackend(),
-    ThreadedBackend(), ResilientBackend(), DistributedBackend(),
+    ThreadedBackend(), DistributedBackend(),
     ElasticBackend(), PointwiseBackend(), BlockedBackend(),
     MergedBackend(), OverlappedBackend(),
 ):

@@ -1,9 +1,8 @@
 """RunConfig — the one flag set of the unified execution pipeline.
 
-Every knob the eight historical entry points spread over divergent
-signatures (scheme and tile parameters, engine selection, thread
-count, sanitizer pre-flight, resilience policy, fault plan, distributed
-topology, elastic runtime tuning) lives here once.  The CLI, the
+Every knob of a run (scheme and tile parameters, engine selection,
+thread count, sanitizer pre-flight, fault plan, distributed topology,
+elastic runtime tuning) lives here once.  The CLI, the
 autotuner, the bench harness and the examples all build a
 :class:`RunConfig` and hand it to :func:`repro.api.run` /
 :class:`repro.api.Session`.
@@ -118,8 +117,7 @@ class RunConfig:
     sanitize: bool = False
     verify: bool = False
 
-    # -- resilience ---------------------------------------------------
-    resilience: Any = None  #: Optional[ResiliencePolicy]
+    # -- fault injection --------------------------------------------
     fault_plan: Any = None  #: Optional[FaultPlan]
 
     # -- distributed topology ----------------------------------------
@@ -127,7 +125,6 @@ class RunConfig:
     axis: int = 0
     ghost: Optional[int] = None
     check_divergence: bool = False
-    max_phase_restarts: int = 2
     elastic: Any = None  #: Optional[ElasticConfig]
 
     # -- run-level QoS -----------------------------------------------
@@ -142,10 +139,6 @@ class RunConfig:
     options: Dict[str, Any] = field(default_factory=dict)
 
     # ----------------------------------------------------------------
-
-    @property
-    def resilient(self) -> bool:
-        return self.resilience is not None
 
     def normalized(self) -> "RunConfig":
         """Canonical copy: aliases resolved, basic ranges validated."""
@@ -191,7 +184,7 @@ class RunConfig:
 
         This is the serving front's job-spec format: everything a
         remote caller can ask for survives the round trip; the live
-        in-process objects (``resilience``, ``fault_plan``, ``elastic``,
+        in-process objects (``fault_plan``, ``elastic``,
         ``trace``, ``options`` and the QoS cancel token) do not — a
         service attaches its own.  Of the QoS policy, the declarative
         scalars (deadline, memory ceiling, fallback chain) are kept.
@@ -217,7 +210,6 @@ class RunConfig:
             "axis": int(self.axis),
             "ghost": int(self.ghost) if self.ghost is not None else None,
             "check_divergence": bool(self.check_divergence),
-            "max_phase_restarts": int(self.max_phase_restarts),
         }
         if self.qos is not None:
             out["qos"] = {
@@ -232,8 +224,11 @@ class RunConfig:
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "RunConfig":
         """Build a config from :meth:`to_json` output (or hand-written
-        JSON); unknown keys raise like :meth:`with_overrides`."""
+        JSON); unknown keys raise like :meth:`with_overrides`, except
+        the retired ``max_phase_restarts``, which is dropped so journals
+        and clients written before its removal still load."""
         data = dict(data)
+        data.pop("max_phase_restarts", None)
         qos_data = data.pop("qos", None)
         kwargs: Dict[str, Any] = {}
         for key, value in data.items():

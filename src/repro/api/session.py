@@ -19,8 +19,7 @@ builder and exposes the pipeline at three levels:
 * :meth:`Session.run` — everything from a :class:`RunConfig` (look
   up, build on a miss, sanitize, lower, execute, verify);
 * :meth:`Session.execute` — run prebuilt artifacts (schedule, lattice,
-  plan) through a backend; this is what the legacy entry-point shims
-  delegate to;
+  plan) through a backend;
 * :meth:`Session.build` / :meth:`Session.lower` — the individual
   stages, for callers (autotuner, benchmarks) that reuse artifacts
   across many runs.
@@ -30,11 +29,10 @@ that create a throwaway session.
 
 Stats discipline: the compiled plan for one run is obtained **once**,
 before execution, through the session's plan cache: one lookup, and
-one compile only when it missed.  Retries and
-restarts inside the resilient backend replay the already-compiled
-plan, so ``RunStats.plan_compiles`` counts each compile exactly once
-— the local backends report the per-run cache delta, the distributed
-backends report the rank-side tally from ``CommStats``.
+one compile only when it missed, so ``RunStats.plan_compiles`` counts
+each compile exactly once — the local backends report the per-run
+cache delta, the distributed backends report the rank-side tally from
+``CommStats``.
 """
 
 from __future__ import annotations
@@ -58,11 +56,6 @@ from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
 
 __all__ = ["Session", "run", "execute"]
-
-#: backends whose pooled task runners need the plan's per-group units
-#: materialised up front (lazy materialisation inside worker threads
-#: would race on the plan's internal cache)
-_POOLED_BACKENDS = ("threaded", "resilient")
 
 
 class Session:
@@ -314,15 +307,10 @@ class Session:
                                + time.perf_counter() - t0)
         delta = (cache_delta(before, self.cache.stats.as_dict())
                  if before is not None else None)
-        if plan is not None and backend.name in _POOLED_BACKENDS:
-            # materialise per-group units before any pool thread runs
-            for gi in range(len(plan.group_ids)):
-                plan.task_units(gi)
 
         # execute -------------------------------------------------------
         trace = config.trace
-        if trace is None and backend.name in ("resilient", "distributed",
-                                              "elastic"):
+        if trace is None and backend.name in ("distributed", "elastic"):
             from repro.runtime.tracing import ExecutionTrace
 
             trace = ExecutionTrace(scheme=config.scheme)
@@ -402,7 +390,6 @@ class Session:
             phases=phases,
             events=list(trace.events) if trace is not None else [],
             comm=outcome.comm,
-            resilience=outcome.resilience,
             cache=delta,
             verified=verified,
         )

@@ -1,27 +1,24 @@
 """RunStats / RunResult — the one stats schema of the pipeline.
 
-Before the facade existed, three incompatible stats objects described
-an execution depending on which entry point ran it: trace events
+Three stats objects describe parts of an execution: trace events
 (:class:`~repro.runtime.tracing.ExecutionTrace`), the distributed
 :class:`~repro.distributed.exec.CommStats` and the engine's
-:class:`~repro.engine.cache.CacheStats` — plus the resilient executor's
-:class:`~repro.runtime.resilience.ResilienceReport`.  A
-:class:`RunStats` merges all four under one roof:
+:class:`~repro.engine.cache.CacheStats`.  A :class:`RunStats` merges
+them under one roof:
 
 * ``phases`` — wall-clock per pipeline phase (``build`` the schedule,
   ``sanitize``, ``lower`` to a compiled plan, ``execute``, ``verify``);
 * ``schedule`` — the structural schedule statistics
   (:func:`~repro.runtime.schedule.schedule_stats`);
-* ``events`` — the runtime event stream (retries, checkpoints,
-  restores, heartbeats, ...);
-* ``comm`` / ``resilience`` / ``cache`` — the family-specific counter
+* ``events`` — the runtime event stream (exchange faults, heartbeats,
+  respawns, restores, fallback hops, ...);
+* ``comm`` / ``cache`` — the family-specific counter
   blocks, present when the backend produced them and ``None`` otherwise
   (never zero-filled fakes);
 * ``plan_compiles`` / ``cache_hits`` — the **single** authoritative
   compile/hit counters.  Local backends report the per-run plan-cache
-  delta; distributed backends report the rank-side compile tally.  A
-  resilient run that retries or restarts never double-counts: the plan
-  is compiled once, before execution, and every replay reuses it.
+  delta; distributed backends report the rank-side compile tally.  The
+  plan is compiled once, before execution, so nothing double-counts.
 """
 
 from __future__ import annotations
@@ -111,7 +108,7 @@ def decode_array(payload: Dict[str, Any]) -> np.ndarray:
 
 
 def _block_to_json(block: Any) -> Optional[Dict[str, Any]]:
-    """One stats block (CommStats/ResilienceReport/CacheStats) → dict."""
+    """One stats block (CommStats/CacheStats) → dict."""
     if block is None:
         return None
     if hasattr(block, "as_dict"):
@@ -131,10 +128,6 @@ def _block_from_json(name: str, data: Optional[Dict[str, Any]]) -> Any:
         data["stage_bytes"] = {int(k): int(v) for k, v in
                                data.get("stage_bytes", {}).items()}
         return CommStats(**data)
-    if name == "resilience":
-        from repro.runtime.resilience import ResilienceReport
-
-        return ResilienceReport(**data)
     if name == "cache":
         from repro.engine.cache import CacheStats
 
@@ -161,8 +154,6 @@ class RunStats:
 
     #: distributed communication counters (None for local backends)
     comm: Any = None
-    #: resilience counters (None unless the resilient backend ran)
-    resilience: Any = None
     #: per-run plan-cache counter delta (None when no lowering ran)
     cache: Any = None
 
@@ -229,7 +220,7 @@ class RunStats:
             "verified": self.verified,
             "stages": dict(self.stages),
         }
-        for name in ("comm", "resilience", "cache"):
+        for name in ("comm", "cache"):
             block = getattr(self, name)
             if block is None:
                 out[name] = None
@@ -264,7 +255,6 @@ class RunStats:
                 for e in self.events
             ],
             "comm": _block_to_json(self.comm),
-            "resilience": _block_to_json(self.resilience),
             "cache": _block_to_json(self.cache),
             "plan_compiles": int(self.plan_compiles),
             "cache_hits": int(self.cache_hits),
@@ -280,10 +270,11 @@ class RunStats:
         """Rebuild a :class:`RunStats` from :meth:`to_json` output.
 
         The counter blocks come back as their real types (CommStats /
-        ResilienceReport / CacheStats) and events as RuntimeEvent, so a
-        deserialized stats object supports the same accessors —
-        ``describe()``, ``event_counts()``, ``resilience.describe()`` —
-        as a live one.
+        CacheStats) and events as RuntimeEvent, so a deserialized stats
+        object supports the same accessors — ``describe()``,
+        ``event_counts()``, ``comm.describe_resilience()`` — as a live
+        one.  Keys this schema does not know (such as the ``resilience``
+        block of older results) are ignored.
         """
         from repro.runtime.tracing import RuntimeEvent
 
@@ -298,8 +289,6 @@ class RunStats:
             schedule=dict(data.get("schedule", {})),
             events=[RuntimeEvent(**e) for e in data.get("events", [])],
             comm=_block_from_json("comm", data.get("comm")),
-            resilience=_block_from_json("resilience",
-                                        data.get("resilience")),
             cache=_block_from_json("cache", data.get("cache")),
             plan_compiles=int(data.get("plan_compiles", 0)),
             cache_hits=int(data.get("cache_hits", 0)),
@@ -372,10 +361,6 @@ class RunResult:
     @property
     def comm(self):
         return self.stats.comm
-
-    @property
-    def resilience(self):
-        return self.stats.resilience
 
     @property
     def ok(self) -> bool:

@@ -507,8 +507,6 @@ def ablation_distributed(nodes: Sequence[int] = (1, 2, 4, 8),
     return format_table(headers, rows)
 
 
-from repro.bench.resilience import resilience_overhead
-
 #: Experiment registry for ``python -m repro.bench`` and the test-suite.
 ALL_EXPERIMENTS: Dict[str, Callable] = {
     "table1": table1_properties,
@@ -523,5 +521,4 @@ ALL_EXPERIMENTS: Dict[str, Callable] = {
     "ablation-tilesize": ablation_tile_sensitivity,
     "ablation-distributed": ablation_distributed,
     "validation": validation_matrix,
-    "resilience": resilience_overhead,
 }

@@ -39,16 +39,19 @@ Commands
   place), poll its state, fetch its sealed result.  See
   ``docs/serving.md``.
 
-``run`` and ``dist`` take ``--resilient``/``--fail-fast`` plus
-``--inject kind@group[/task][xN]`` fault specs (see
-``docs/resilience.md``), ``--sanitize`` to refuse structurally
+``run`` and ``dist`` take ``--inject kind@group[/task][xN]`` fault
+specs (see ``docs/reliability.md``; ``run`` refuses a backend that
+would ignore them), ``dist`` takes ``--resilient``/``--fail-fast``
+(elastic recovery budgets, or the simulator's divergence detector),
+both take ``--sanitize`` to refuse structurally
 illegal schedules before execution (see ``docs/sanitizer.md``), and
 the QoS flags ``--deadline SECONDS`` / ``--fallback a,b,...`` (see
 ``docs/reliability.md``).
 Errors map to distinct exit codes instead of tracebacks:
 1 = numerical mismatch, 2 = usage/:class:`ValueError` (including
 :class:`~repro.runtime.qos.AdmissionRejected`),
-3 = :class:`ExecutionError` (including :class:`RunCancelled`),
+3 = :class:`ExecutionError` (including :class:`RunCancelled`) or an
+:class:`InjectedFault` crash,
 4 = :class:`GuardViolation` (invariant
 guard / ghost-band divergence), 5 = :class:`SanitizerViolation`
 (structurally illegal schedule), 6 = :class:`RankLostError` (rank
@@ -87,6 +90,7 @@ from repro.runtime.errors import (
     ExchangeTimeoutError,
     ExecutionError,
     GuardViolation,
+    InjectedFault,
     JobNotFound,
     QueueSaturated,
     RankLostError,
@@ -94,6 +98,7 @@ from repro.runtime.errors import (
     SanitizerViolation,
     WorkerCrashed,
 )
+from repro.runtime.faults import EXCHANGE_KINDS, PROCESS_KINDS, TASK_KINDS
 
 __all__ = ["main", "SCHEMES"]
 
@@ -127,23 +132,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      "seed+N-1) as one stacked batch on the 'batched' "
                      "backend; one compiled plan serves all N")
     run.add_argument("--backend", default="auto", metavar="NAME",
-                     help="executor backend (serial|threaded|resilient|"
-                     "compiled|baseline:*); 'auto' resolves from "
-                     "--threads/--resilient/--inject/--engine")
+                     help="executor backend (serial|threaded|compiled|"
+                     "baseline:*); 'auto' resolves from "
+                     "--threads/--inject/--engine")
     run.add_argument("--engine", default="naive",
                      choices=["naive", "compiled"],
                      help="execution engine: 'naive' walks the schedule "
                      "action by action; 'compiled' lowers it to a cached "
                      "CompiledPlan (precomputed slices, fused/batched "
                      "kernels — see docs/performance.md)")
-    _add_resilience_args(run)
+    _add_inject_arg(run)
     _add_sanitizer_args(run)
     _add_qos_args(run)
-    run.add_argument("--checkpoint-every", type=int, default=1,
-                     metavar="N", help="checkpoint every N barrier "
-                     "groups in --resilient mode (0 = initial only)")
-    run.add_argument("--retries", type=int, default=2,
-                     help="per-task retry budget in --resilient mode")
 
     show = sub.add_parser("show", help="space-time diagram of a 1D schedule")
     show.add_argument("--scheme", default="tess",
@@ -195,7 +195,15 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--max-respawns", type=int, default=2,
                       help="per-rank respawn budget for the elastic "
                       "backend in --resilient mode")
-    _add_resilience_args(dist)
+    mode = dist.add_mutually_exclusive_group()
+    mode.add_argument("--resilient", action="store_true",
+                      help="elastic backend: spend the respawn and "
+                      "phase-restart budgets; simulator: run the "
+                      "divergence detector")
+    mode.add_argument("--fail-fast", action="store_true",
+                      help="die on the first failure with a structured "
+                      "error (default)")
+    _add_inject_arg(dist)
     _add_qos_args(dist)
     dist.add_argument("--ghost", type=int, default=None,
                       help="override the exchanged ghost-band width "
@@ -345,21 +353,15 @@ def _add_client_args(sub: argparse.ArgumentParser) -> None:
                        help="operate on a store directory directly")
 
 
-def _add_resilience_args(sub: argparse.ArgumentParser) -> None:
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--resilient", action="store_true",
-                      help="enable retries, checkpoint/restart and "
-                      "invariant guards")
-    mode.add_argument("--fail-fast", action="store_true",
-                      help="die on the first failure with a structured "
-                      "error (default)")
+def _add_inject_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--inject", action="append", default=[],
                      metavar="SPEC",
                      help="inject a deterministic fault: "
                      "kind@group[/task][xN], kind in "
-                     "crash|corrupt|stall|drop|garble (shared-memory / "
-                     "simulated paths) or kill_rank|stall_rank|drop_msg|"
-                     "flip_bits (elastic process runtime) (repeatable)")
+                     "crash|corrupt|stall (threaded backend), "
+                     "drop|garble (rank simulator) or kill_rank|"
+                     "stall_rank|drop_msg|flip_bits (elastic process "
+                     "runtime) (repeatable)")
 
 
 def _add_qos_args(sub: argparse.ArgumentParser) -> None:
@@ -406,33 +408,30 @@ def _fault_plan(args):
     return FaultPlan.parse(args.inject) if args.inject else None
 
 
-def _build_schedule(spec, shape, steps, scheme, b):
-    """Deprecated shim: schedule construction lives in the pipeline's
-    :class:`~repro.api.builder.ScheduleBuilder` now."""
-    from repro.api import RunConfig, ScheduleBuilder
-
-    cfg = RunConfig(scheme=scheme, shape=tuple(shape), steps=steps, b=b)
-    return ScheduleBuilder().build(spec, cfg.normalized()).schedule
+#: fault kinds each backend's probe points fire; every other backend
+#: runs as if no fault plan were attached
+_FAULT_KINDS = {
+    "threaded": TASK_KINDS,
+    "distributed": EXCHANGE_KINDS,
+    "elastic": PROCESS_KINDS,
+}
 
 
 def _resolve_run_backend(args, config, sched, fault_plan) -> str:
-    """Replicate the historical executor precedence for ``--backend auto``.
+    """The executor precedence for ``--backend auto``.
 
-    Injection/resilience wins (the resilient executor subsumes
-    fail-fast via a zero-budget policy), then the thread pool, then the
-    compiled engine; ghost-zone (private-task) schedules fall through
-    to the overlapped executor, everything else to the sequential
-    walker.
+    Injection or ``--threads`` picks the thread pool (the one local
+    backend that fires task faults), then the compiled engine;
+    ghost-zone (private-task) schedules fall through to the overlapped
+    executor, everything else to the sequential walker.
     """
     from repro.api import normalize_backend
 
     backend = normalize_backend(args.backend)
     if backend != "auto":
         return backend
-    if ((args.resilient or fault_plan is not None)
+    if ((args.threads > 1 or fault_plan is not None)
             and not sched.private_tasks):
-        return "resilient"
-    if args.threads > 1 and not sched.private_tasks:
         return "threaded"
     if config.engine == "compiled":
         return "compiled"
@@ -444,7 +443,7 @@ def _resolve_run_backend(args, config, sched, fault_plan) -> str:
 def cmd_run(args) -> int:
     from repro import get_stencil
     from repro.api import RunConfig, Session
-    from repro.runtime import ResiliencePolicy, schedule_stats
+    from repro.runtime import schedule_stats
 
     if args.kernel is None and args.system is None:
         print("error: give a kernel name or --system NAME", file=sys.stderr)
@@ -478,27 +477,24 @@ def cmd_run(args) -> int:
     print(f"tasks={st['tasks']} barriers={st['groups']} "
           f"redundancy={st['redundancy'] * 100:.1f}%")
 
+    backend = ("batched" if args.batch > 1
+               else _resolve_run_backend(args, config, sched, fault_plan))
+    if fault_plan is not None:
+        ignored = sorted({f.kind for f in fault_plan.faults}
+                         - set(_FAULT_KINDS.get(backend, ())))
+        if ignored:
+            raise ValueError(
+                f"backend {backend!r} would ignore the injected "
+                f"{'/'.join(ignored)} fault(s): {'|'.join(TASK_KINDS)} "
+                f"fire on the threaded backend, the exchange and rank "
+                f"kinds under 'repro dist'")
+        print(f"injecting: {fault_plan.describe()}")
     if args.batch > 1:
         return _run_batch(args, session, config, shape)
 
-    backend = _resolve_run_backend(args, config, sched, fault_plan)
     overrides = {"backend": backend}
     if backend == "compiled":
         overrides["engine"] = "compiled"
-    if backend == "resilient":
-        if args.resilient:
-            overrides["resilience"] = ResiliencePolicy(
-                max_task_retries=args.retries,
-                checkpoint_interval=args.checkpoint_every,
-            )
-        else:
-            # fail-fast with injection: no retries, no restarts — the
-            # guards still turn silent corruption into a loud exit 4
-            overrides["resilience"] = ResiliencePolicy(
-                max_task_retries=0, max_group_restarts=0,
-                checkpoint_interval=0)
-        if fault_plan is not None:
-            print(f"injecting: {fault_plan.describe()}")
     config = config.with_overrides(overrides)
 
     result = session.execute(None, sched, config=config,
@@ -510,8 +506,6 @@ def cmd_run(args) -> int:
         print(f"sanitizer: {result.sanitizer.describe()}")
     if result.plan is not None and stats.engine == "compiled":
         print(f"engine: compiled — {result.plan.stats.describe()}")
-    if stats.resilience is not None:
-        print(f"resilience: {stats.resilience.describe()}")
     secs = stats.phases.get("execute", 0.0)
     pts = 1
     for n in shape:
@@ -554,11 +548,13 @@ def _run_batch(args, session, config, shape) -> int:
 
 def cmd_show(args) -> int:
     from repro import get_stencil
+    from repro.api import RunConfig, ScheduleBuilder
     from repro.runtime.spacetime import render_spacetime
 
     spec = get_stencil("heat1d")
-    sched = _build_schedule(spec, (args.n,), args.steps, args.scheme,
-                            args.depth)
+    config = RunConfig(scheme=args.scheme, shape=(args.n,),
+                       steps=args.steps, b=args.depth).normalized()
+    sched = ScheduleBuilder().build(spec, config).schedule
     print(f"space-time diagram — {args.scheme}, N={args.n}, "
           f"T={args.steps}, b={args.depth} (glyph = barrier group)")
     print(render_spacetime(sched, width=args.width))
@@ -639,13 +635,10 @@ def cmd_dist(args) -> int:
         })
         kind = "rank process(es)"
     else:
-        from repro.runtime import ResiliencePolicy
-
         ranks = args.ranks
         config = config.with_overrides({
             "ranks": ranks,
-            "check_divergence": args.check_divergence,
-            "resilience": ResiliencePolicy() if args.resilient else None,
+            "check_divergence": args.check_divergence or args.resilient,
         })
         kind = "simulated ranks"
 
@@ -980,7 +973,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except WorkerCrashed as e:
         print(f"worker crashed: {e}", file=sys.stderr)
         return EXIT_WORKER_CRASHED
-    except ExecutionError as e:
+    except (ExecutionError, InjectedFault) as e:
+        # a single-thread pool propagates the task's raw InjectedFault
         print(f"execution failed: {e}", file=sys.stderr)
         return EXIT_EXECUTION
     except QueueSaturated as e:

@@ -15,19 +15,16 @@ an under-sized band or a missing exchange makes the numerics diverge,
 so the §4.1 communication plan is *validated*, not just asserted.
 Message counts/bytes are tallied into :class:`CommStats`.
 
-Fault tolerance (see ``docs/resilience.md``): the exchange consults an
-optional :class:`~repro.runtime.faults.FaultPlan` — a ``drop`` fault
+Fault detection (see ``docs/reliability.md``): the exchange consults
+an optional :class:`~repro.runtime.faults.FaultPlan` — a ``drop`` fault
 skips a rank's boundary-band send, a ``garble`` fault delivers NaN —
 and a **divergence detector** cross-checks, after every stage, that
 each neighbour pair agrees on every point either rank updated inside
 their shared ``±ghost`` window (the induction invariant "arrays
-correct on slab ⊕ ghost", checked where it is falsifiable).  Phase
-boundaries are global consistency points — every rank's pair is
-complete there — so with ``resilient=True`` the simulator snapshots
-all ranks' buffers per phase and, on detected divergence, restores and
-replays the phase (re-sending what a burned-out transient fault
-dropped).  Replay is deterministic, so a recovered run is bit-identical
-to a fault-free one.
+correct on slab ⊕ ghost", checked where it is falsifiable).  A
+detection raises :class:`~repro.runtime.errors.GhostDivergenceError`;
+the simulator does not recover in-run — the job service retries the
+whole job.
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ class CommStats:
     """Tally of the exchanges (and injected faults) of a distributed run.
 
     One schema for both execution paths: the in-process simulator
-    (:func:`execute_distributed`) and the elastic multiprocess runtime
-    (:func:`repro.distributed.elastic.execute_elastic`) fill the same
+    (:func:`_execute_distributed`) and the elastic multiprocess runtime
+    (:func:`repro.distributed.elastic._execute_elastic`) fill the same
     counters, so reports and trace events compare like for like —
     counters a path cannot exercise simply stay zero.
     """
@@ -66,7 +63,7 @@ class CommStats:
     garbles: int = 0
     #: neighbour-pair consistency checks run by the detector
     divergence_checks: int = 0
-    #: phases replayed from their checkpoint after a detection
+    #: phases the elastic runtime replayed from their checkpoint
     phase_restarts: int = 0
     #: receive timeouts observed while waiting for a boundary band
     timeouts: int = 0
@@ -124,8 +121,6 @@ def _execute_distributed(
     *,
     fault_plan: Optional[FaultPlan] = None,
     check_divergence: bool = False,
-    resilient: bool = False,
-    max_phase_restarts: int = 2,
     ghost_override: Optional[int] = None,
     trace: Optional[ExecutionTrace] = None,
     sanitize: bool = False,
@@ -140,9 +135,9 @@ def _execute_distributed(
     ``fault_plan`` injects ``drop``/``garble`` exchange faults
     (addressed by global stage counter, ``task`` = source rank);
     ``check_divergence`` runs the neighbour-consistency detector after
-    every stage; ``resilient`` additionally checkpoints each phase and
-    replays it on detection (up to ``max_phase_restarts`` times per
-    phase) instead of raising.  ``ghost_override`` forces a band width
+    every stage and raises
+    :class:`~repro.runtime.errors.GhostDivergenceError` on a
+    disagreement.  ``ghost_override`` forces a band width
     different from the lattice-derived one — the detector always
     validates against the *required* width, which is how an under-sized
     band is caught instead of silently corrupting the run.
@@ -170,8 +165,6 @@ def _execute_distributed(
                     label=v.task or "", detail=v.describe(),
                 )
         san.raise_if_violations()
-    if resilient:
-        check_divergence = True
     part = SlabPartition(grid.shape, ranks, axis=axis)
     slopes = tuple(p.sigma for p in lattice.profiles)
     b = lattice.b
@@ -290,53 +283,29 @@ def _execute_distributed(
     for tt, span in phase_windows(0, steps, b):
         if budget is not None:
             budget.check(f"phase t={tt}")
-        phase_ckpt = (
-            [[buf.copy() for buf in bufs] for bufs in locals_]
-            if resilient else None
-        )
-        attempts = 0
-        while True:
-            try:
-                for si, sp in enumerate(plan.stages):
-                    stage_idx = stage_counter + si
-                    if budget is not None:
-                        budget.check(f"stage {stage_idx}")
-                    dirty = [np.zeros(grid.shape, dtype=bool)
-                             for _ in range(ranks)]
-                    for r in range(ranks):
-                        bufs = locals_[r]
-                        for blk in owned[r][si]:
-                            for s in range(span):
-                                region = blk.region_at(s, b, slopes,
-                                                       grid.shape)
-                                if region_is_empty(region):
-                                    continue
-                                spec.apply_region(
-                                    bufs[(tt + s) % 2],
-                                    bufs[(tt + s + 1) % 2],
-                                    region,
-                                )
-                                idx = tuple(slice(lo, hi)
-                                            for lo, hi in region)
-                                dirty[r][idx] = True
-                    exchange(stage_idx, dirty)
-                    if check_divergence:
-                        detect_divergence(stage_idx, dirty)
-                break
-            except GhostDivergenceError:
-                attempts += 1
-                if not resilient or attempts > max_phase_restarts:
-                    raise
-                for r in range(ranks):
-                    for parity in (0, 1):
-                        np.copyto(locals_[r][parity],
-                                  phase_ckpt[r][parity])
-                stats.phase_restarts += 1
-                if trace is not None:
-                    trace.record_event(
-                        "restore", stage_counter,
-                        detail=f"phase replay at t={tt} "
-                               f"(attempt {attempts + 1})")
+        for si, sp in enumerate(plan.stages):
+            stage_idx = stage_counter + si
+            if budget is not None:
+                budget.check(f"stage {stage_idx}")
+            dirty = [np.zeros(grid.shape, dtype=bool)
+                     for _ in range(ranks)]
+            for r in range(ranks):
+                bufs = locals_[r]
+                for blk in owned[r][si]:
+                    for s in range(span):
+                        region = blk.region_at(s, b, slopes, grid.shape)
+                        if region_is_empty(region):
+                            continue
+                        spec.apply_region(
+                            bufs[(tt + s) % 2],
+                            bufs[(tt + s + 1) % 2],
+                            region,
+                        )
+                        idx = tuple(slice(lo, hi) for lo, hi in region)
+                        dirty[r][idx] = True
+            exchange(stage_idx, dirty)
+            if check_divergence:
+                detect_divergence(stage_idx, dirty)
         stage_counter += len(plan.stages)
 
     # assemble: each rank contributes its own slab at the final time
@@ -346,43 +315,3 @@ def _execute_distributed(
         sl[axis] = slice(lo, hi)
         out[tuple(sl)] = locals_[r][steps % 2][interior][tuple(sl)]
     return out, stats
-
-
-def execute_distributed(
-    spec: StencilSpec,
-    grid: Grid,
-    lattice: TessLattice,
-    steps: int,
-    ranks: int,
-    axis: int = 0,
-    *,
-    fault_plan: Optional[FaultPlan] = None,
-    check_divergence: bool = False,
-    resilient: bool = False,
-    max_phase_restarts: int = 2,
-    ghost_override: Optional[int] = None,
-    trace: Optional[ExecutionTrace] = None,
-    sanitize: bool = False,
-) -> Tuple[np.ndarray, CommStats]:
-    """Run ``steps`` tessellated steps across ``ranks`` simulated ranks.
-
-    Returns ``(assembled interior at time steps, CommStats)``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="distributed"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-    from repro.runtime.resilience import ResiliencePolicy
-
-    warn_legacy("execute_distributed",
-                "repro.api.run(backend='distributed')")
-    config = RunConfig(
-        backend="distributed", engine="naive", scheme="tess",
-        steps=steps, ranks=ranks, axis=axis, fault_plan=fault_plan,
-        check_divergence=check_divergence,
-        resilience=ResiliencePolicy() if resilient else None,
-        max_phase_restarts=max_phase_restarts, ghost=ghost_override,
-        trace=trace, sanitize=sanitize,
-    )
-    result = Session(spec).execute(grid, config=config, lattice=lattice)
-    return result.interior, result.stats.comm

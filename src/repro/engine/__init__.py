@@ -34,7 +34,6 @@ from repro.engine.plan import (
     CompiledPlan,
     PlanStats,
     compile_plan,
-    execute_plan,
 )
 from repro.engine.cache import (
     CacheStats,
@@ -51,7 +50,6 @@ __all__ = [
     "CompiledPlan",
     "PlanStats",
     "compile_plan",
-    "execute_plan",
     "plan_supports_batch",
     "stack_grids",
     "ScratchArena",

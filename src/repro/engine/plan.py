@@ -1,7 +1,7 @@
 """Schedule → plan compilation: run a RegionSchedule with zero
 per-run geometry work.
 
-:func:`repro.runtime.schedule.execute_schedule` pays, for every one of
+:func:`repro.runtime.schedule._execute_schedule` pays, for every one of
 the thousands of small region actions a tiled schedule emits, a
 Python-level dispatch through ``spec.apply_region``, fresh slice-tuple
 construction per neighbour tap, and one temporary NumPy array per tap.
@@ -34,7 +34,7 @@ step ``t`` live in the ``t % 2`` buffer while same-step writes land in
 the other parity, so same-step units can run in any order once their
 writes are disjoint.
 
-Results are bit-identical to ``execute_schedule`` (or
+Results are bit-identical to ``_execute_schedule`` (or
 ``execute_overlapped`` for ghost-zone schedules): per grid point, the
 exact float operation sequence of the naive operator is preserved —
 fusion and batching only change array *layout*, never per-element
@@ -73,7 +73,7 @@ from repro.stencils.spec import (
 )
 from repro.stencils.staged import stage_scratch, stage_timings
 
-__all__ = ["CompiledPlan", "PlanStats", "compile_plan", "execute_plan"]
+__all__ = ["CompiledPlan", "PlanStats", "compile_plan"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,8 @@ class CompiledPlan:
     """A RegionSchedule lowered to prebuilt execution units.
 
     ``streams[i]`` is the ordered unit list of barrier group
-    ``group_ids[i]``; :func:`execute_plan` runs them in order.  The
-    per-task view used by the threaded/resilient executors is compiled
+    ``group_ids[i]``; :func:`_execute_plan` runs them in order.  The
+    per-task view used by the threaded backend is compiled
     lazily by :meth:`task_units`.
     """
 
@@ -759,7 +759,7 @@ def compile_plan(
         stream: list = []
         if not reorder:
             # original task order, per-action compiled slices: exactly
-            # execute_schedule's interleaving with the geometry hoisted
+            # _execute_schedule's interleaving with the geometry hoisted
             stats.fallback_groups += 1
             for task in tasks:
                 for a in task.actions:
@@ -880,29 +880,9 @@ def _execute_plan(plan: CompiledPlan, grid: Union[Grid, BatchGrid],
     return grid.interior(plan.steps)
 
 
-def execute_plan(plan: CompiledPlan, grid: Grid,
-                 arena: Optional[ScratchArena] = None) -> np.ndarray:
-    """Run a compiled plan sequentially; returns the final interior.
-
-    Bit-identical to ``execute_schedule`` on the plan's source schedule
-    (``execute_overlapped`` for ghost-zone plans).
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="compiled"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_plan", "repro.api.run(backend='compiled')")
-    config = RunConfig(backend="compiled", engine="compiled")
-    if arena is not None:
-        config.options["arena"] = arena
-    result = Session(plan.spec).execute(grid, config=config, plan=plan)
-    return result.interior
-
-
 def run_units(units, grid: Grid, spec: StencilSpec,
               arena: Optional[ScratchArena] = None) -> None:
-    """Run one task's compiled units (threaded/resilient task body)."""
+    """Run one task's compiled units (the threaded backend's task body)."""
     flats = _flat_views(grid)
     if arena is None:
         arena = thread_arena()

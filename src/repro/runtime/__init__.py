@@ -9,20 +9,19 @@ independent and may run concurrently).
 
 On top of that one representation sit:
 
-* a sequential executor (:func:`~repro.runtime.schedule.execute_schedule`)
-  used for correctness validation of every scheme;
+* a sequential executor (:func:`~repro.runtime.schedule._execute_schedule`,
+  the ``serial`` backend) used for correctness validation of every
+  scheme;
 * a threaded executor (:mod:`~repro.runtime.threadpool`) demonstrating
   real shared-memory parallel execution (NumPy releases the GIL inside
   region applications);
 * the task-graph analysis (:mod:`~repro.runtime.taskgraph`) feeding the
   simulated machine — work, span, concurrency profiles, footprints;
-* the resilience layer (:mod:`~repro.runtime.resilience`,
-  :mod:`~repro.runtime.faults`, :mod:`~repro.runtime.errors`) —
-  deterministic fault injection, barrier-group checkpoint/restart,
-  bounded retries with sequential degradation, and runtime invariant
-  guards.  Barrier groups double as consistency points: at every
-  barrier the ping-pong pair is a complete state, so a snapshot plus
-  the group index is all a restart needs.
+* the fault harness (:mod:`~repro.runtime.faults`) and the typed
+  error vocabulary (:mod:`~repro.runtime.errors`) — deterministic
+  fault injection and structured failures.  Recovery for local runs
+  is the job service's segment checkpoints plus job retry
+  (:mod:`repro.service`), not an in-run layer;
 * the structural sanitizer (:mod:`~repro.runtime.sanitizer`) — a
   symbolic interval-arithmetic analysis proving tessellation
   (Theorem 3.5), ping-pong dependence legality (Theorem 3.6) and
@@ -35,16 +34,13 @@ from repro.runtime.schedule import (
     RegionAction,
     ScheduledTask,
     RegionSchedule,
-    execute_schedule,
     schedule_stats,
     verify_schedule,
 )
 from repro.runtime.taskgraph import TaskGraph, TaskNode, build_taskgraph
-from repro.runtime.threadpool import execute_threaded
 from repro.runtime.levelize import levelize
 from repro.runtime.errors import (
     ChecksumMismatchError,
-    DeadlineExceeded,
     ExchangeTimeoutError,
     ExecutionError,
     GhostDivergenceError,
@@ -54,15 +50,8 @@ from repro.runtime.errors import (
     QueueSaturated,
     RankLostError,
     SanitizerViolation,
-    StallTimeoutError,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.resilience import (
-    Checkpoint,
-    ResiliencePolicy,
-    ResilienceReport,
-    execute_resilient,
-)
 from repro.runtime.sanitizer import (
     SanitizerReport,
     Violation,
@@ -81,16 +70,13 @@ __all__ = [
     "RegionAction",
     "ScheduledTask",
     "RegionSchedule",
-    "execute_schedule",
     "schedule_stats",
     "verify_schedule",
     "TaskGraph",
     "TaskNode",
     "build_taskgraph",
-    "execute_threaded",
     "levelize",
     "ChecksumMismatchError",
-    "DeadlineExceeded",
     "ExchangeTimeoutError",
     "ExecutionError",
     "GhostDivergenceError",
@@ -99,13 +85,8 @@ __all__ = [
     "JobNotFound",
     "QueueSaturated",
     "RankLostError",
-    "StallTimeoutError",
     "FaultPlan",
     "FaultSpec",
-    "Checkpoint",
-    "ResiliencePolicy",
-    "ResilienceReport",
-    "execute_resilient",
     "SanitizerViolation",
     "SanitizerReport",
     "Violation",

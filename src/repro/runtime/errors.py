@@ -1,19 +1,15 @@
 """Structured runtime errors and CLI exit codes.
 
-The resilience layer turns arbitrary task failures into a small,
-typed vocabulary so callers (the CLI, the test-suite, a future
-service wrapper) can react programmatically instead of parsing
-tracebacks:
+Executors turn arbitrary task failures into a small, typed vocabulary
+so callers (the CLI, the test-suite, the job service) can react
+programmatically instead of parsing tracebacks:
 
 * :class:`InjectedFault` — raised *by* the fault-injection harness
   (:mod:`repro.runtime.faults`) inside a task; models a worker crash;
-* :class:`DeadlineExceeded` — a task overran the policy's soft
-  deadline (models a stalled worker);
-* :class:`ExecutionError` — terminal verdict of an executor: a group
-  kept failing after retries, sequential degradation and
-  checkpoint/restart; carries scheme/group/task/attempt context;
-* :class:`GuardViolation` — a runtime invariant guard fired
-  (non-finite values after a barrier group, structural pre-flight);
+* :class:`ExecutionError` — terminal verdict of an executor: a task
+  of a barrier group failed; carries scheme/group/task/attempt
+  context;
+* :class:`GuardViolation` — a runtime invariant guard fired;
 * :class:`GhostDivergenceError` — the distributed simulator's
   neighbour-consistency detector found ranks disagreeing on the
   authoritative values of a boundary band;
@@ -21,10 +17,6 @@ tracebacks:
   (:mod:`repro.runtime.sanitizer`) found a tessellation gap, double
   write, dependence violation, intra-group race or ghost-band breach
   *before* execution; carries the full violation list;
-* :class:`StallTimeoutError` — the resilient executor's *wall-clock*
-  deadline expired (a stalled worker would otherwise hang the run
-  forever; the per-task soft deadline cannot see a sleep that never
-  returns);
 * :class:`RankLostError` / :class:`ExchangeTimeoutError` /
   :class:`ChecksumMismatchError` — the elastic process runtime's
   terminal verdicts (:mod:`repro.distributed.elastic`): a rank process
@@ -34,10 +26,7 @@ tracebacks:
 * :class:`RunDeadlineExceeded` / :class:`RunCancelled` — the
   *run-level* QoS verdicts (:mod:`repro.runtime.qos`): the caller's
   :class:`~repro.runtime.qos.QoSPolicy` deadline expired at a
-  cooperative check point, or its cancel token was tripped.  Distinct
-  from the per-task :class:`DeadlineExceeded` soft deadline and the
-  resilient executor's :class:`StallTimeoutError` wall clock, both of
-  which are internal to one executor's recovery policy;
+  cooperative check point, or its cancel token was tripped;
 * :class:`QueueSaturated` / :class:`JobNotFound` — the durable job
   runtime's verdicts (:mod:`repro.service`): the bounded submission
   queue refused a job instead of buffering unboundedly (backpressure,
@@ -185,26 +174,13 @@ class InjectedFault(RuntimeError):
         super().__init__(f"injected {kind} fault in {where}")
 
 
-class DeadlineExceeded(RuntimeError):
-    """A task ran longer than the policy's soft per-task deadline."""
-
-    def __init__(self, label: str, elapsed_s: float, deadline_s: float):
-        self.label = label
-        self.elapsed_s = elapsed_s
-        self.deadline_s = deadline_s
-        super().__init__(
-            f"task {label!r} took {elapsed_s * 1e3:.1f} ms "
-            f"(deadline {deadline_s * 1e3:.1f} ms)"
-        )
-
-
 class ExecutionError(RuntimeError):
     """A schedule execution died; names the failing group/task.
 
-    Raised by :func:`repro.runtime.threadpool.execute_threaded` on the
-    first task failure (fail-fast semantics) and by
-    :func:`repro.runtime.resilience.execute_resilient` once retries,
-    sequential degradation and checkpoint restarts are exhausted.
+    Raised by the ``threaded`` backend
+    (:func:`repro.api.driver.drive_groups`) on the first task failure:
+    fail-fast semantics.  Recovery is the job service's: a transient
+    failure is retried from the newest sealed segment checkpoint.
     """
 
     def __init__(
@@ -234,7 +210,7 @@ class ExecutionError(RuntimeError):
 
 
 class GuardViolation(ExecutionError):
-    """A runtime invariant guard failed (non-finite sweep, pre-flight)."""
+    """A runtime invariant guard failed (pre-flight, ghost divergence)."""
 
 
 class SanitizerViolation(GuardViolation):
@@ -263,37 +239,12 @@ class SanitizerViolation(GuardViolation):
         )
 
 
-class StallTimeoutError(ExecutionError):
-    """The resilient executor's wall-clock deadline expired.
-
-    A ``stall`` fault (or any genuinely wedged worker) can sleep past
-    every per-task soft deadline; the wall-clock deadline bounds the
-    *whole* execution so the suite/CI gets a structured error instead
-    of a hang.  Not retryable: the budget is global, so the run is
-    aborted on the spot rather than replayed.
-    """
-
-    def __init__(self, label: str, elapsed_s: float, deadline_s: float,
-                 *, group: Optional[int] = None):
-        self.label = label
-        self.elapsed_s = elapsed_s
-        self.deadline_s = deadline_s
-        ExecutionError.__init__(
-            self,
-            f"wall-clock deadline exceeded at {label!r}: "
-            f"{elapsed_s:.3f}s elapsed > {deadline_s:.3f}s budget",
-            group=group,
-        )
-
-
 class RunDeadlineExceeded(ExecutionError):
     """The caller's run-level QoS deadline expired.
 
     Raised by :meth:`repro.runtime.qos.RunBudget.check` at a
     cooperative boundary (executor entry, barrier group, time-tiled
-    phase, coordinator poll).  Unlike the per-task soft
-    :class:`DeadlineExceeded` and the resilient executor's
-    :class:`StallTimeoutError`, this budget belongs to the *caller*:
+    phase, coordinator poll).  The budget belongs to the *caller*:
     it spans the whole run attempt, is honoured identically by every
     backend, and maps to its own CLI exit code 9.  It is retryable on
     a *fallback* boundary only — a cheaper backend may still finish a

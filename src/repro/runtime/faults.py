@@ -10,10 +10,10 @@ well-defined probe points:
 * :meth:`FaultPlan.crash_fault` — before running a task's actions;
   a hit raises :class:`~repro.runtime.errors.InjectedFault`;
 * :meth:`FaultPlan.stall_fault` — before running a task; a hit makes
-  the worker sleep ``stall_s`` seconds (tripping any policy deadline);
+  the worker sleep ``stall_s`` seconds (tripping a run deadline);
 * :meth:`FaultPlan.corrupt_fault` — after a task's actions; a hit
   poisons the task's written regions with NaN (silent data
-  corruption — only the group-level guard sweep can see it);
+  corruption — only the verify phase can see it);
 * :meth:`FaultPlan.exchange_fault` — per source rank at each
   distributed stage exchange; ``drop`` skips the boundary-band copy,
   ``garble`` delivers NaN instead of the authoritative values;
@@ -338,8 +338,9 @@ def poison_task_output(grid, task) -> int:
     Models a worker returning garbage: every point the task wrote — at
     every time level it advanced — is replaced with NaN in the
     corresponding ping-pong buffer.  Returns the number of poisoned
-    points.  Integer grids cannot represent NaN; callers treat
-    ``corrupt`` as ``crash`` for those (see ``execute_resilient``).
+    points.  Integer grids cannot represent NaN; the threaded runner
+    skips the ``corrupt`` probe for those (see
+    :func:`repro.runtime.threadpool._run_task`).
     """
     poisoned = 0
     for a in task.actions:

@@ -24,12 +24,6 @@ The zero-overhead contract: a run with no policy attached carries
 ``budget=None`` through every signature and executes the exact pre-QoS
 code path — the only added work is one ``is not None`` test per
 boundary, guarded by ``benchmarks/bench_qos.py``.
-
-Distinct clocks, deliberately: the per-task soft
-:class:`~repro.runtime.errors.DeadlineExceeded` and the resilient
-executor's :class:`~repro.runtime.errors.StallTimeoutError` belong to
-one executor's *recovery policy*; the :class:`RunBudget` belongs to the
-*caller* and outranks both.
 """
 
 from __future__ import annotations
@@ -217,11 +211,10 @@ class RunBudget:
 # ---------------------------------------------------------------------------
 
 #: extra ping-pong *pairs* each backend family keeps beyond the grid's
-#: own pair: the resilient executor checkpoints both buffers; the
-#: distributed simulator replicates the full pair per rank; the
-#: elastic runtime additionally ships an init pair to the workers.
+#: own pair: the distributed simulator replicates the full pair per
+#: rank; the elastic runtime additionally ships an init pair to the
+#: workers.
 _EXTRA_PAIRS = {
-    "resilient": lambda config: 1,
     "distributed": lambda config: max(1, config.ranks),
     "elastic": lambda config: 1 + max(1, config.ranks),
     # a batched run holds N member pairs plus the one stacked [N, ...]
@@ -235,7 +228,7 @@ def estimate_peak_bytes(spec, shape, config) -> int:
     """Order-of-magnitude peak buffer footprint of one run.
 
     Counts halo-padded ping-pong buffer *pairs*: the grid always owns
-    one pair; backend families add checkpoint/replica pairs
+    one pair; backend families add replica pairs
     (:data:`_EXTRA_PAIRS`); ghost-zone (overlapped) schedules double
     the total for private task storage; ``verify=True`` adds a
     snapshot copy plus a reference-sweep pair.  Deliberately a model,

@@ -18,8 +18,9 @@ group's still-pending futures are cancelled, the running ones are
 joined, and a structured :class:`~repro.runtime.errors.ExecutionError`
 naming the failing task and group is raised.  Without this, every
 future ran to completion and a partially-updated grid was
-indistinguishable from success.  For retry/checkpoint recovery
-semantics use :func:`repro.runtime.resilience.execute_resilient`.
+indistinguishable from success.  Recovery is not this module's job:
+the job service (:mod:`repro.service`) retries a failed job from its
+newest sealed segment checkpoint, bit-identically.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _execute_threaded(
     if plan is not None:
         if plan.private:
             raise ValueError(
-                "ghost-zone plans have no threaded path; use execute_plan"
+                "ghost-zone plans have no threaded path; use backend 'compiled'"
             )
         if (plan.shape != schedule.shape or plan.steps != schedule.steps
                 or plan.scheme != schedule.scheme):
@@ -131,29 +132,3 @@ def _execute_threaded(
 
     drive_groups(schedule, run_one, num_threads=num_threads, budget=budget)
     return grid.interior(schedule.steps)
-
-
-def execute_threaded(
-    spec: StencilSpec,
-    grid: Grid,
-    schedule: RegionSchedule,
-    num_threads: int = 4,
-    fault_plan: Optional[FaultPlan] = None,
-    sanitize: bool = False,
-    plan=None,
-) -> np.ndarray:
-    """Execute a schedule with ``num_threads`` worker threads.
-
-    Returns the interior at time ``schedule.steps``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="threaded"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_threaded", "repro.api.run(backend='threaded')")
-    config = RunConfig(backend="threaded", engine="naive",
-                       threads=num_threads, fault_plan=fault_plan,
-                       sanitize=sanitize)
-    result = Session(spec).execute(grid, schedule, config=config, plan=plan)
-    return result.interior

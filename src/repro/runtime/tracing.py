@@ -30,10 +30,10 @@ class TaskTrace:
 
 @dataclass
 class RuntimeEvent:
-    """One resilience-layer event (retry, checkpoint, restore, guard…).
+    """One runtime event (fault, sanitize, respawn, restore, fallback…).
 
-    Recorded by :func:`repro.runtime.resilience.execute_resilient`,
-    the distributed simulator and the elastic process coordinator
+    Recorded by the distributed simulator (``exchange-fault``,
+    ``sanitize``, ``violation``) and the elastic process coordinator
     (:mod:`repro.distributed.elastic`) so traces expose where
     fault-tolerance overhead sits, next to the per-task compute
     timings.  The elastic coordinator adds: ``heartbeat`` (per-rank
@@ -45,7 +45,7 @@ class RuntimeEvent:
     event per degradation hop.
     """
 
-    kind: str  #: "retry" | "checkpoint" | "restore" | "degrade" | "guard" | "exchange-fault" | "sanitize" | "violation" | "heartbeat" | "respawn" | "commit" | "failure" | "watchdog" | "fallback"
+    kind: str  #: "exchange-fault" | "sanitize" | "violation" | "heartbeat" | "retry" | "respawn" | "commit" | "restore" | "failure" | "watchdog" | "fallback" | "resume"
     group: int
     label: str = ""
     seconds: float = 0.0
@@ -68,10 +68,6 @@ class ExecutionTrace:
         for e in self.events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-    def resilience_seconds(self) -> float:
-        """Wall-clock attributed to the resilience layer (not compute)."""
-        return sum(e.seconds for e in self.events)
 
     @property
     def total_seconds(self) -> float:

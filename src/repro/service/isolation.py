@@ -109,7 +109,7 @@ EXIT_CHILD_ORPHANED = 47
 #: a later segment (or a recovered supervisor) can resume from.  The
 #: distributed families scatter/gather rank-local slabs instead; jobs
 #: on those backends run as one segment and restart from the journal.
-CHECKPOINTABLE = frozenset(("serial", "compiled", "threaded", "resilient"))
+CHECKPOINTABLE = frozenset(("serial", "compiled", "threaded"))
 
 #: test hook: fork-inherited chaos verdict ("crash" | "segv" | "oom").
 #: The environment variable is the CLI-smoke spelling of the same knob.
@@ -267,7 +267,6 @@ def merge_stats(segments, *, total_steps: int, resume_step: int,
         phases=phases,
         events=events,
         comm=_merge_block([s.comm for s in segments]),
-        resilience=_merge_block([s.resilience for s in segments]),
         cache=_merge_block([s.cache for s in segments]),
         plan_compiles=sum(int(s.plan_compiles) for s in segments),
         cache_hits=sum(int(s.cache_hits) for s in segments),

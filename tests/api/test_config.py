@@ -66,12 +66,6 @@ class TestNormalized:
         with pytest.raises(ValueError):
             RunConfig(**kwargs).normalized()
 
-    def test_resilient_property(self):
-        from repro.runtime import ResiliencePolicy
-
-        assert not RunConfig().resilient
-        assert RunConfig(resilience=ResiliencePolicy()).resilient
-
 
 class TestOverrides:
     def test_known_fields(self):

@@ -41,7 +41,6 @@ SUPPORTED = {
     "compiled": set(SCHEMES),
     "batched": set(SCHEMES) - {"overlapped"},
     "threaded": set(SCHEMES) - {"overlapped"},
-    "resilient": set(SCHEMES) - {"overlapped"},
     "distributed": {"tess"},
     "elastic": {"tess"},
     "baseline:pointwise": {"tess", "tess-unmerged"},
@@ -58,7 +57,6 @@ STAGED_SUPPORTED = {
     "compiled": set(SCHEMES) - {"overlapped"},
     "batched": set(SCHEMES) - {"overlapped"},
     "threaded": set(SCHEMES) - {"overlapped"},
-    "resilient": set(SCHEMES) - {"overlapped"},
     "distributed": set(),
     "elastic": set(),
     "baseline:pointwise": set(),

@@ -21,7 +21,6 @@ from repro.api.stats import (
 )
 from repro.distributed.exec import CommStats
 from repro.engine.cache import CacheStats
-from repro.runtime.resilience import ResilienceReport
 from repro.runtime.tracing import RuntimeEvent
 
 pytestmark = pytest.mark.api
@@ -73,8 +72,6 @@ def test_runstats_roundtrip_with_all_blocks():
                              seconds=0.01, detail="d")],
         comm=CommStats(messages=4, bytes_sent=1024,
                        stage_bytes={0: 512, 1: 512}, drops=1),
-        resilience=ResilienceReport(scheme="tess", task_retries=2,
-                                    checkpoints_taken=3),
         cache=CacheStats(hits=5, misses=1, compile_seconds=0.02),
         plan_compiles=1, cache_hits=2,
         degradations=[{"from": "elastic", "to": "serial",
@@ -91,9 +88,7 @@ def test_runstats_roundtrip_with_all_blocks():
     # typed blocks come back as their real types, int keys restored
     assert isinstance(clone.comm, CommStats)
     assert clone.comm.stage_bytes == {0: 512, 1: 512}
-    assert isinstance(clone.resilience, ResilienceReport)
-    assert clone.resilience.describe()  # live accessor works
-    assert clone.resilience.task_retries == 2
+    assert clone.comm.describe_resilience()  # live accessor works
     assert isinstance(clone.cache, CacheStats)
     assert clone.cache.hits == 5
     assert clone.degradations[0]["to"] == "serial"
@@ -103,7 +98,7 @@ def test_runstats_roundtrip_with_all_blocks():
 
 def test_runstats_roundtrip_minimal():
     clone = RunStats.from_json(json.loads(_dumps(RunStats().to_json())))
-    assert clone.comm is None and clone.resilience is None
+    assert clone.comm is None
     assert clone.cache is None and clone.verified is None
 
 
@@ -143,3 +138,27 @@ def test_runconfig_roundtrip_including_qos():
 def test_runconfig_from_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown RunConfig field"):
         RunConfig.from_json({"not_a_knob": 1})
+
+
+def test_runconfig_from_json_drops_retired_max_phase_restarts():
+    """Journals and clients written before the simulator's phase replay
+    was removed carry ``max_phase_restarts``; they must still load."""
+    old = dict(RunConfig(shape=(40,), steps=12).to_json(),
+               max_phase_restarts=2)
+    cfg = RunConfig.from_json(old)
+    assert cfg.shape == (40,) and cfg.steps == 12
+    assert "max_phase_restarts" not in cfg.to_json()
+    with pytest.raises(TypeError):
+        RunConfig(max_phase_restarts=2)  # gone as a field
+    with pytest.raises(ValueError, match="unknown RunConfig field"):
+        RunConfig.from_json({"resilience": None})  # not a wire key
+
+
+def test_runstats_from_json_ignores_old_resilience_block():
+    """Results sealed by the removed ``resilient`` backend carry a
+    ``resilience`` block; the stats still load."""
+    data = RunStats(backend="serial", steps=4).to_json()
+    for block in (None, {"scheme": "tess", "task_retries": 2}):
+        clone = RunStats.from_json(dict(data, resilience=block))
+        assert clone.backend == "serial" and clone.steps == 4
+        assert not hasattr(clone, "resilience")

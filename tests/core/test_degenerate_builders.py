@@ -22,11 +22,17 @@ from repro.baselines import (
     spatial_schedule,
     trapezoid_schedule,
 )
-from repro.cli import SCHEMES, _build_schedule
+from repro.api import RunConfig, ScheduleBuilder
+from repro.cli import SCHEMES
 from repro.core.schedules import tess_schedule
 from repro.runtime import sanitize_schedule, verify_schedule
 
 pytestmark = pytest.mark.sanitizer
+
+
+def _build_schedule(spec, shape, steps, scheme, b):
+    cfg = RunConfig(scheme=scheme, shape=tuple(shape), steps=steps, b=b)
+    return ScheduleBuilder().build(spec, cfg.normalized()).schedule
 
 CASES = [
     # (label, kernel, shape, steps, b)

@@ -190,37 +190,14 @@ def test_periodic_rejected():
         compile_plan(spec, sched)
 
 
-def test_threaded_and_resilient_with_plan():
+def test_threaded_with_plan():
     from repro.runtime.threadpool import _execute_threaded
-    from repro.runtime.resilience import _execute_resilient
 
     spec = get_stencil("heat2d")
     lat = make_lattice(spec, (40, 40), 4)
     sched = tess_schedule(spec, (40, 40), lat, 9)
     plan = compile_plan(spec, sched)
     g_ref, g_thr = _pair(spec, (40, 40))
-    g_res = g_ref.copy()
     ref = _execute_schedule(spec, g_ref, sched)
     assert np.array_equal(
         ref, _execute_threaded(spec, g_thr, sched, num_threads=3, plan=plan))
-    out, _ = _execute_resilient(spec, g_res, sched, plan=plan, num_threads=2)
-    assert np.array_equal(ref, out)
-
-
-def test_resilient_with_plan_recovers_faults():
-    from repro.runtime import FaultPlan, FaultSpec
-    from repro.runtime.resilience import ResiliencePolicy, _execute_resilient
-
-    spec = get_stencil("heat2d")
-    lat = make_lattice(spec, (40, 40), 4)
-    sched = tess_schedule(spec, (40, 40), lat, 9)
-    plan = compile_plan(spec, sched)
-    g_ref, g_flt = _pair(spec, (40, 40))
-    ref = _execute_schedule(spec, g_ref, sched)
-    fp = FaultPlan([FaultSpec(kind="crash", group=1, task=0),
-                    FaultSpec(kind="corrupt", group=3, task=1)])
-    out, report = _execute_resilient(
-        spec, g_flt, sched, plan=plan, num_threads=2, fault_plan=fp,
-        policy=ResiliencePolicy(max_task_retries=2))
-    assert np.array_equal(ref, out)
-    assert report.task_retries + report.restores > 0

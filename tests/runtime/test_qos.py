@@ -135,8 +135,6 @@ def test_estimate_scales_with_shape_dtype_and_backend():
     assert base > 100 * 8  # at least one padded float64 pair
     assert estimate_peak_bytes(spec, (200,), _cfg()) > base
     # backend families that replicate buffers cost more
-    assert estimate_peak_bytes(
-        spec, (100,), _cfg(backend="resilient")) > base
     dist = estimate_peak_bytes(
         spec, (100,), _cfg(backend="distributed", ranks=4))
     assert dist > estimate_peak_bytes(

@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 from repro import Grid, get_stencil, make_lattice
-from repro.cli import SCHEMES, _build_schedule
+from repro.api import RunConfig, ScheduleBuilder
+from repro.cli import SCHEMES
 from repro.core.profiles import AxisProfile, TessLattice
 from repro.core.schedules import tess_schedule
 from repro.distributed.partition import SlabPartition
 from repro.runtime import (
     RegionAction,
     RegionSchedule,
-    ResiliencePolicy,
     SanitizerViolation,
     apply_mutation,
     drop_action,
@@ -35,11 +35,14 @@ from repro.runtime import (
     shift_region,
     verify_schedule,
 )
-from repro.runtime.resilience import _execute_resilient
 from repro.runtime.threadpool import _execute_threaded
-from repro.runtime.tracing import ExecutionTrace
 
 pytestmark = pytest.mark.sanitizer
+
+
+def _build_schedule(spec, shape, steps, scheme, b):
+    cfg = RunConfig(scheme=scheme, shape=tuple(shape), steps=steps, b=b)
+    return ScheduleBuilder().build(spec, cfg.normalized()).schedule
 
 
 def build(scheme, kernel="heat1d", shape=(300,), steps=8, b=4):
@@ -262,24 +265,6 @@ class TestExecutorWiring:
         with pytest.raises(SanitizerViolation):
             _execute_threaded(spec, Grid(spec, (300,), seed=1), bad,
                              num_threads=2, sanitize=True)
-
-    def test_execute_resilient_preflight_and_trace(self):
-        spec, bad = self._mutated()
-        policy = ResiliencePolicy(sanitize=True)
-        trace = ExecutionTrace(scheme="tess")
-        out, report = _execute_resilient(
-            spec, Grid(spec, (300,), seed=1), build("tess"),
-            policy=policy, trace=trace)
-        assert report.groups_run > 0
-        assert trace.event_counts().get("sanitize") == 1
-        trace_bad = ExecutionTrace(scheme="tess")
-        with pytest.raises(SanitizerViolation) as exc:
-            _execute_resilient(spec, Grid(spec, (300,), seed=1), bad,
-                              policy=policy, trace=trace_bad)
-        assert exc.value.violations
-        counts = trace_bad.event_counts()
-        assert counts.get("sanitize") == 1
-        assert counts.get("violation", 0) >= 1
 
     def test_sanitizer_violation_is_guard_subclass(self):
         """exit-code layering: callers catching GuardViolation still see

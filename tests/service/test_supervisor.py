@@ -218,40 +218,58 @@ def test_cancel_running_job_stops_at_boundary(store):
     assert sup.metrics.cancelled == 1
 
 
+#: one config per checkpointable backend (service.isolation.CHECKPOINTABLE)
+_CHECKPOINTABLE_CFGS = {
+    "serial": {},
+    "compiled": {"backend": "compiled", "engine": "compiled"},
+    "threaded": {"backend": "threaded", "threads": 2},
+}
+
+
 @THREAD_ONLY
-def test_in_process_resume_after_mid_run_failure(store):
-    """A job that dies between segments resumes from its checkpoint —
-    and the resumed result is bit-identical to an unbroken run."""
+@pytest.mark.parametrize("fail_call", [1, 3, 5],
+                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("backend", sorted(_CHECKPOINTABLE_CFGS))
+def test_in_process_resume_after_mid_run_failure(store, backend,
+                                                 fail_call):
+    """A job that dies in its first, a middle or its last segment is
+    retried from its last sealed checkpoint (from step 0 when none was
+    sealed yet), bit-identical to an unbroken run, on every
+    checkpointable backend.  This is the one local recovery path."""
+    from repro.service.isolation import CHECKPOINTABLE
+
+    assert set(_CHECKPOINTABLE_CFGS) == CHECKPOINTABLE
 
     class _DieOnce(_Gate):
-        def __init__(self, session):
-            super().__init__(session)
-            self.died = False
-
         def run(self, config=None, **kw):
             self.calls += 1
-            if self.calls == 3 and not self.died:
-                self.died = True  # die after two sealed segments
+            if self.calls == fail_call:
                 raise ExecutionError("executor died mid-job")
             return self._session.run(config, **kw)
 
+    cfg = dict(CFG, **_CHECKPOINTABLE_CFGS[backend])
     sup = Supervisor(store, SupervisorConfig(
         workers=1, checkpoint_steps=5, retry_backoff_s=0.001))
     sup._sessions["heat1d"] = _DieOnce(Session(get_stencil("heat1d")))
     sup.start()
     try:
-        job, _ = sup.submit("heat1d", CFG)  # 24 steps, segments of 5
+        # 24 steps in segments of 5: checkpoints seal at 5, 10, 15, 20
+        job, _ = sup.submit("heat1d", cfg)
         job = sup.wait(job.job_id, timeout=60)
     finally:
         sup.stop()
+    sealed = 5 * (fail_call - 1)  # 0: died before the first seal
     assert job.state == DONE
     assert job.attempts == 2
-    assert job.resumed_from_step == 10  # two sealed segments
-    assert sup.metrics.resumes == 1
+    assert job.resumed_from_step == (sealed if sealed else -1)
+    assert sup.metrics.resumes == (1 if sealed else 0)
     interior, stats = store.load_result(job.job_id)
-    np.testing.assert_array_equal(interior, _direct())
-    # the resumption is visible in the result's trace events
-    assert any(e.get("kind") == "resume" for e in stats["events"])
+    direct = _direct(**_CHECKPOINTABLE_CFGS[backend])
+    assert interior.dtype == direct.dtype
+    assert interior.tobytes() == direct.tobytes()
+    # a resumption is visible in the result's trace events
+    resumed = any(e.get("kind") == "resume" for e in stats["events"])
+    assert resumed == bool(sealed)
 
 
 @THREAD_ONLY
@@ -275,6 +293,32 @@ def test_stop_returns_promptly_during_retry_backoff(store):
     assert time.monotonic() - t0 < 5.0  # far under one backoff
     # the interrupted retry is journaled queued, not lost
     assert store.get(job.job_id).state == QUEUED
+
+
+def test_jobs_journaled_before_recovery_layer_removal(tmp_path):
+    """Wire compatibility across the removal of the ``resilient``
+    backend and the simulator's phase replay: a queued job whose
+    journaled config carries the retired ``max_phase_restarts`` still
+    runs, and a journaled ``resilient`` job fails permanently (unknown
+    backend) instead of crash-looping."""
+    root = str(tmp_path / "store")
+    with JobStore(root, fsync=False) as store:
+        old, _ = store.submit("heat1d", dict(CFG, max_phase_restarts=2))
+        gone, _ = store.submit("heat1d", dict(CFG, backend="resilient"))
+    with JobStore(root, fsync=False) as store:
+        sup = Supervisor(store, SupervisorConfig(workers=1))
+        sup.start()
+        try:
+            old = sup.wait(old.job_id, timeout=60)
+            gone = sup.wait(gone.job_id, timeout=60)
+        finally:
+            sup.stop()
+        assert old.state == DONE
+        np.testing.assert_array_equal(
+            store.load_result(old.job_id)[0], _direct())
+        assert gone.state == FAILED
+        assert gone.attempts == 1  # permanent: never retried
+        assert "unknown backend 'resilient'" in gone.error
 
 
 def test_recovery_requeue_runs_to_completion(tmp_path):

@@ -25,7 +25,7 @@ SYSTEMS = ("fdtd1d", "fdtd2d", "shallow_water", "gray_scott")
 #: grid edge deliberately not a multiple of b=4: stretched blocks
 SIZES = {1: (50,), 2: (22, 26)}
 STEPS_CASES = (0, 6)
-BACKENDS = ("serial", "compiled", "threaded", "batched", "resilient")
+BACKENDS = ("serial", "compiled", "threaded", "batched")
 SCHEMES = ("naive", "tess", "diamond", "mwd")
 
 

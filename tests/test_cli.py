@@ -39,16 +39,45 @@ class TestCliRun:
 
 
 class TestCliResilience:
-    """Structured exit codes and the --resilient/--inject flag pair."""
+    """Structured exit codes and the --inject flag."""
 
-    def test_resilient_recovers_injected_faults(self, capsys):
+    def test_threaded_crash_exits_3(self, capsys):
         rc = main(["run", "heat2d", "--shape", "48", "48", "--steps", "8",
-                   "-b", "4", "--threads", "2", "--resilient",
-                   "--inject", "crash@1/0", "--inject", "corrupt@3"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "resilience:" in out
-        assert "verified against naive sweep: OK" in out
+                   "-b", "4", "--threads", "2", "--inject", "crash@1/0"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "injecting: crash@1/0" in captured.out
+        assert "execution failed:" in captured.err
+
+    def test_inject_under_auto_resolves_to_threaded(self, monkeypatch,
+                                                    capsys):
+        from repro.api import Session
+
+        backends = []
+        real = Session.execute
+
+        def spy(self, grid, schedule=None, *, config=None, **kw):
+            backends.append(config.backend)
+            return real(self, grid, schedule, config=config, **kw)
+
+        monkeypatch.setattr(Session, "execute", spy)
+        rc = main(["run", "heat1d", "--shape", "300", "--steps", "8",
+                   "-b", "4", "--inject", "crash@99"])
+        assert rc == 0  # aimed past the last group: never fires
+        assert backends == ["threaded"]
+        assert "verified against naive sweep: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend,kind", [
+        ("serial", "crash"), ("compiled", "crash"),
+        ("baseline:blocked", "crash"), ("auto", "drop")])
+    def test_inject_on_backend_that_ignores_faults_exits_2(self, backend,
+                                                           kind, capsys):
+        rc = main(["run", "heat1d", "--shape", "300", "--steps", "8",
+                   "-b", "4", "--backend", backend,
+                   "--inject", f"{kind}@1"])
+        assert rc == 2
+        assert (f"would ignore the injected {kind}"
+                in capsys.readouterr().err)
 
     def test_persistent_crash_exits_3(self, capsys):
         rc = main(["run", "heat1d", "--shape", "300", "--steps", "8",
@@ -56,25 +85,28 @@ class TestCliResilience:
         assert rc == 3
         assert "execution failed:" in capsys.readouterr().err
 
-    def test_fail_fast_corruption_exits_4(self, capsys):
-        rc = main(["run", "heat1d", "--shape", "300", "--steps", "8",
-                   "-b", "4", "--fail-fast", "--inject", "corrupt@1"])
-        assert rc == 4
-        assert "guard violation:" in capsys.readouterr().err
-
     def test_bad_inject_spec_exits_2(self, capsys):
         rc = main(["run", "heat1d", "--inject", "explode@1"])
         assert rc == 2
         assert "bad fault spec" in capsys.readouterr().err
 
-    def test_dist_resilient_recovers_dropped_exchange(self, capsys):
+    @pytest.mark.parametrize("flag", ["--check-divergence",
+                                      "--resilient"])
+    def test_dist_dropped_exchange_detected_exits_4(self, flag, capsys):
         rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
-                   "-b", "4", "--ranks", "4", "--resilient",
+                   "-b", "4", "--ranks", "4", flag,
                    "--inject", "drop@2/1"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "verified OK" in out
-        assert "phase_restarts=1" in out
+        assert rc == 4
+        assert "ghost-band divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--resilient"], ["--fail-fast"],
+                                      ["--checkpoint-every", "1"],
+                                      ["--retries", "1"]])
+    def test_run_recovery_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "heat1d", *flag])
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_dist_undersized_ghost_exits_4(self, capsys):
         rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",

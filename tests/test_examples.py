@@ -40,9 +40,9 @@ def test_high_order_and_periodic(capsys):
 def test_fault_tolerance(capsys):
     _run("fault_tolerance.py")
     out = capsys.readouterr().out
-    assert "recovered bit-identical to fault-free run: True" in out
-    assert "structured error" in out
-    assert "recovered bit-identical: True" in out
+    assert "resumed from the step-6 checkpoint" in out
+    assert "resumed job bit-identical to an unbroken run: True" in out
+    assert "dropped exchange -> detected: ghost-band divergence" in out
 
 
 def test_examples_exist():
