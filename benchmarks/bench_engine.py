@@ -1,8 +1,7 @@
 """Compiled-engine benchmark: naive executor vs compiled plans.
 
 Standalone script (not a pytest bench) emitting machine-readable
-``BENCH_engine.json``: for each (kernel, scheme, grid, threads)
-workload it times the naive schedule interpreter and the compiled
+``BENCH_engine.json``: for each (kernel, scheme, grid) workload it times the naive schedule interpreter and the compiled
 engine on identical initial state, verifies bit-identical results, and
 records points/sec plus the compiled/naive speedup.
 
@@ -10,7 +9,7 @@ Modes:
 
 * default (full): the paper-scale Fig. 8 (Heat-1D, 40000 points,
   64 steps, b=8) and Fig. 10 (Heat-2D, 384x384, 24 steps, b=4)
-  workloads plus merged/Life/threaded variants — the committed
+  workloads plus merged/Life variants — the committed
   ``BENCH_engine.json`` comes from this mode and is the evidence for
   the >= 3x acceptance bar;
 * ``--quick``: a small subset of the same workload keys for CI smoke.
@@ -47,8 +46,8 @@ import numpy as np
 from repro import Grid, get_stencil, make_lattice
 from repro.core.schedules import tess_schedule
 from repro.engine import PlanCache
+from repro.engine.plan import _execute_plan
 from repro.runtime.schedule import _execute_schedule
-from repro.runtime.threadpool import _execute_threaded
 
 SCHEMA = "bench-engine/1"
 
@@ -66,15 +65,14 @@ def env_fingerprint():
         },
     }
 
-#: (name, kernel, shape, steps, b, merged, threads, quick)
+#: (name, kernel, shape, steps, b, merged, quick)
 WORKLOADS = [
-    ("fig8-heat1d-quick", "heat1d", (4000,), 16, 4, False, 1, True),
-    ("fig10-heat2d-quick", "heat2d", (96, 96), 8, 4, False, 1, True),
-    ("fig8-heat1d", "heat1d", (40000,), 64, 8, False, 1, False),
-    ("fig10-heat2d", "heat2d", (384, 384), 24, 4, False, 1, False),
-    ("fig10-heat2d-merged", "heat2d", (384, 384), 24, 4, True, 1, False),
-    ("fig9-life", "life", (256, 256), 16, 4, False, 1, False),
-    ("fig10-heat2d-t4", "heat2d", (384, 384), 24, 4, False, 4, False),
+    ("fig8-heat1d-quick", "heat1d", (4000,), 16, 4, False, True),
+    ("fig10-heat2d-quick", "heat2d", (96, 96), 8, 4, False, True),
+    ("fig8-heat1d", "heat1d", (40000,), 64, 8, False, False),
+    ("fig10-heat2d", "heat2d", (384, 384), 24, 4, False, False),
+    ("fig10-heat2d-merged", "heat2d", (384, 384), 24, 4, True, False),
+    ("fig9-life", "life", (256, 256), 16, 4, False, False),
 ]
 
 
@@ -100,8 +98,8 @@ def _restored(grid, init, fn):
     return run
 
 
-def bench_workload(name, kernel, shape, steps, b, merged, threads,
-                   cache, repeat, warmup):
+def bench_workload(name, kernel, shape, steps, b, merged, cache, repeat,
+                   warmup):
     spec = get_stencil(kernel)
     lat = make_lattice(spec, shape, b)
     sched = tess_schedule(spec, shape, lat, steps, merged=merged)
@@ -110,20 +108,9 @@ def bench_workload(name, kernel, shape, steps, b, merged, threads,
     grid = Grid(spec, shape, init="random", seed=0)
     init = [buf.copy() for buf in grid.buffers]
 
-    if threads == 1:
-        from repro.engine.plan import _execute_plan
-
-        naive_fn = _restored(grid, init,
-                             lambda: _execute_schedule(spec, grid, sched))
-        comp_fn = _restored(grid, init, lambda: _execute_plan(plan, grid))
-    else:
-        naive_fn = _restored(
-            grid, init,
-            lambda: _execute_threaded(spec, grid, sched, num_threads=threads))
-        comp_fn = _restored(
-            grid, init,
-            lambda: _execute_threaded(spec, grid, sched, num_threads=threads,
-                                     plan=plan))
+    naive_fn = _restored(grid, init,
+                         lambda: _execute_schedule(spec, grid, sched))
+    comp_fn = _restored(grid, init, lambda: _execute_plan(plan, grid))
 
     naive_s, naive_out = _min_of_k(naive_fn, repeat, warmup)
     naive_out = np.array(naive_out, copy=True)
@@ -139,7 +126,7 @@ def bench_workload(name, kernel, shape, steps, b, merged, threads,
         "steps": steps,
         "b": b,
         "merged": bool(merged),
-        "threads": threads,
+        "threads": 1,  # part of the row key (see _row_key)
         "points": int(points),
         "naive_s": naive_s,
         "compiled_s": comp_s,
@@ -210,14 +197,14 @@ def main(argv=None):
 
     cache = PlanCache(capacity=16)
     rows = []
-    for name, kernel, shape, steps, b, merged, threads, quick in WORKLOADS:
+    for name, kernel, shape, steps, b, merged, quick in WORKLOADS:
         if args.quick and not quick:
             continue
-        row = bench_workload(name, kernel, shape, steps, b, merged,
-                             threads, cache, repeat, warmup=1)
+        row = bench_workload(name, kernel, shape, steps, b, merged, cache,
+                             repeat, warmup=1)
         rows.append(row)
         flag = "" if row["identical"] else "  ** MISMATCH **"
-        print(f"{name:24s} threads={threads}  "
+        print(f"{name:24s}  "
               f"naive {row['naive_s'] * 1e3:9.1f} ms  "
               f"compiled {row['compiled_s'] * 1e3:8.1f} ms  "
               f"{row['speedup']:6.1f}x{flag}")

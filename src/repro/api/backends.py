@@ -1,11 +1,11 @@
 """Backend protocol + registry: the last stage of the pipeline.
 
 A *backend* consumes the pipeline's artifacts (grid, schedule or
-lattice, optionally a compiled plan) and produces the final interior
-plus whatever counter block its family maintains.  All backends are
-interchangeable behind :class:`Backend`; the registry maps canonical
-names (plus the aliases in :data:`repro.api.config.BACKEND_ALIASES`)
-to singleton instances:
+lattice, plus a compiled plan for the compiled-engine backends) and
+produces the final interior plus whatever counter block its family
+maintains.  All backends are interchangeable behind :class:`Backend`;
+the registry maps canonical names (plus the aliases in
+:data:`repro.api.config.BACKEND_ALIASES`) to singleton instances:
 
 ================== =================================================
 ``serial``          sequential schedule walker (the validation path)
@@ -25,6 +25,11 @@ Every backend implements :meth:`Backend.supports` so an unsupported
 :class:`BackendUnsupported` *before* touching a buffer — the parity
 matrix test relies on the refusal being loud and structured, never a
 silent wrong answer.
+
+Each backend names the one engine it runs (:attr:`Backend.engine`):
+``compiled`` and ``batched`` run the plan the session lowers, every
+other backend walks the schedule or lattice (``naive``).
+``RunConfig.engine`` may only confirm it (:meth:`Backend.engine_refusal`).
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class ExecutionContext:
     config: object  #: normalised RunConfig
     schedule: object = None
     lattice: object = None
-    plan: object = None  #: CompiledPlan when the engine lowered one
+    plan: object = None  #: CompiledPlan (compiled-engine backends)
     trace: object = None  #: ExecutionTrace collecting runtime events
     #: armed RunBudget when the config carries a QoSPolicy with a
     #: deadline or cancel token; None keeps the pre-QoS code path
@@ -91,8 +96,9 @@ class Backend:
     #: "schedule" backends consume a RegionSchedule; "lattice" backends
     #: walk the tessellation lattice directly
     kind: str = "schedule"
-    #: whether an engine-lowered CompiledPlan is consumed when present
-    consumes_plan: bool = False
+    #: the one engine this backend runs: "compiled" executes the plan
+    #: the session lowers first, "naive" walks the schedule or lattice
+    engine: str = "naive"
     #: schemes this backend can run (None = any region schedule)
     schemes: Optional[frozenset] = None
     handles_private: bool = False
@@ -116,9 +122,16 @@ class Backend:
             return (f"schedule {schedule.scheme!r} needs private task "
                     f"storage; use backend 'baseline:overlapped' or "
                     f"'compiled'")
-        if config.engine == "compiled" and not self.consumes_plan:
-            return "this backend cannot consume a compiled plan"
         return None
+
+    def engine_refusal(self, engine: str) -> Optional[str]:
+        """Refusal reason for a normalised ``RunConfig.engine`` that is
+        neither ``auto`` nor this backend's own engine, else None."""
+        if engine in ("auto", self.engine):
+            return None
+        runner = "compiled" if engine == "compiled" else "serial"
+        return (f"this backend runs the {self.engine!r} engine; the "
+                f"{engine!r} engine runs on backend {runner!r}")
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         raise NotImplementedError
@@ -171,20 +184,12 @@ class SerialBackend(Backend):
     """Sequential schedule walker — the correctness-validation path."""
 
     name = "serial"
-    consumes_plan = True  # a prebuilt plan runs as a sequential stream
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        if ctx.plan is not None:
-            from repro.engine.plan import _execute_plan
+        from repro.runtime.schedule import _execute_schedule
 
-            out = _execute_plan(ctx.plan, ctx.grid,
-                                arena=ctx.config.options.get("arena"),
+        out = _execute_schedule(ctx.spec, ctx.grid, ctx.schedule,
                                 budget=ctx.budget)
-        else:
-            from repro.runtime.schedule import _execute_schedule
-
-            out = _execute_schedule(ctx.spec, ctx.grid, ctx.schedule,
-                                    budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -192,7 +197,7 @@ class CompiledBackend(Backend):
     """Compiled-plan stream runner (:mod:`repro.engine`)."""
 
     name = "compiled"
-    consumes_plan = True
+    engine = "compiled"
     handles_private = True  # ghost-zone plans carry private storage
 
     def supports(self, spec, config, schedule=None) -> Optional[str]:
@@ -208,9 +213,7 @@ class CompiledBackend(Backend):
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.engine.plan import _execute_plan
 
-        out = _execute_plan(ctx.plan, ctx.grid,
-                            arena=ctx.config.options.get("arena"),
-                            budget=ctx.budget)
+        out = _execute_plan(ctx.plan, ctx.grid, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -226,7 +229,7 @@ class BatchedBackend(Backend):
     """
 
     name = "batched"
-    consumes_plan = True
+    engine = "compiled"
 
     def supports(self, spec, config, schedule=None) -> Optional[str]:
         if spec.is_periodic:
@@ -235,9 +238,6 @@ class BatchedBackend(Backend):
                 schedule is not None and schedule.private_tasks):
             return ("ghost-zone (private-task) schedules have no "
                     "batched lowering; use backend 'compiled'")
-        if config.engine == "naive":
-            return ("the batched backend runs compiled plans only; "
-                    "use engine 'auto' or 'compiled'")
         from repro.engine.batch import operator_batch_refusal
 
         return operator_batch_refusal(spec.operator)
@@ -249,9 +249,7 @@ class BatchedBackend(Backend):
         grids = (list(ctx.batch_grids) if ctx.batch_grids is not None
                  else [ctx.grid])
         bgrid = stack_grids(ctx.spec, grids)
-        _execute_plan(ctx.plan, bgrid,
-                      arena=ctx.config.options.get("arena"),
-                      budget=ctx.budget)
+        _execute_plan(ctx.plan, bgrid, budget=ctx.budget)
         # both parities go back so member grids are checkpointable and
         # per-instance interiors alias their own buffers, exactly as a
         # single-instance run would leave them
@@ -264,7 +262,6 @@ class ThreadedBackend(Backend):
     """Fail-fast barrier-group thread pool."""
 
     name = "threaded"
-    consumes_plan = True
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.runtime.threadpool import _execute_threaded
@@ -274,7 +271,6 @@ class ThreadedBackend(Backend):
             ctx.spec, ctx.grid, ctx.schedule,
             num_threads=max(1, cfg.threads),
             fault_plan=cfg.fault_plan,
-            plan=ctx.plan,
             budget=ctx.budget,
         )
         return BackendOutcome(interior=out)
@@ -297,8 +293,6 @@ class OverlappedBackend(Backend):
                     "(ghost-zone) schedule; use backend 'serial'")
         if config.scheme != "overlapped" and schedule is None:
             return "supports the 'overlapped' scheme only"
-        if config.engine == "compiled":
-            return "use backend 'compiled' for ghost-zone plans"
         return None
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
@@ -324,13 +318,8 @@ class PointwiseBackend(Backend):
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.pointwise import run_pointwise
 
-        opts = ctx.config.options
         out = run_pointwise(ctx.spec, ctx.grid, ctx.lattice,
-                            ctx.config.steps,
-                            t0=opts.get("t0", 0),
-                            on_update=opts.get("on_update"),
-                            validate=opts.get("validate", True),
-                            budget=ctx.budget)
+                            ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -344,14 +333,8 @@ class BlockedBackend(Backend):
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.executor import _run_blocked
 
-        opts = ctx.config.options
         out = _run_blocked(ctx.spec, ctx.grid, ctx.lattice,
-                           ctx.config.steps,
-                           t0=opts.get("t0", 0),
-                           plan=opts.get("phase_plan"),
-                           on_block=opts.get("on_block"),
-                           validate=opts.get("validate", True),
-                           budget=ctx.budget)
+                           ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -365,13 +348,8 @@ class MergedBackend(Backend):
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.executor import _run_merged
 
-        opts = ctx.config.options
         out = _run_merged(ctx.spec, ctx.grid, ctx.lattice,
-                          ctx.config.steps,
-                          t0=opts.get("t0", 0),
-                          on_block=opts.get("on_block"),
-                          validate=opts.get("validate", True),
-                          budget=ctx.budget)
+                          ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 

@@ -1,6 +1,6 @@
 """RunConfig — the one flag set of the unified execution pipeline.
 
-Every knob of a run (scheme and tile parameters, engine selection,
+Every knob of a run (scheme and tile parameters, backend selection,
 thread count, sanitizer pre-flight, fault plan, distributed topology,
 elastic runtime tuning) lives here once.  The CLI, the
 autotuner, the bench harness and the examples all build a
@@ -14,7 +14,7 @@ keep working while the canonical pair is ``backend``/``engine``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
@@ -85,8 +85,8 @@ class RunConfig:
     """Every knob of one pipeline run, with sane defaults.
 
     Problem selection (``shape``/``steps``), schedule construction
-    (``scheme`` and tile parameters), lowering (``engine``), execution
-    (``backend`` plus backend-family options) and instrumentation
+    (``scheme`` and tile parameters), execution (``backend``, which
+    picks the engine, plus backend-family options) and instrumentation
     (``trace``/``verify``) — see ``docs/architecture.md`` for which
     backend consumes which group.
     """
@@ -112,7 +112,9 @@ class RunConfig:
 
     # -- lowering & execution ----------------------------------------
     backend: str = "serial"
-    engine: str = "auto"  #: auto | naive | compiled
+    #: auto | naive | compiled — the backend picks the engine; any
+    #: value but ``auto`` or the backend's own engine is refused
+    engine: str = "auto"
     threads: int = 1
     sanitize: bool = False
     verify: bool = False
@@ -133,10 +135,8 @@ class RunConfig:
     #: the exact pre-QoS code path (zero-overhead default).
     qos: Any = None
 
-    # -- instrumentation / escape hatch ------------------------------
+    # -- instrumentation ---------------------------------------------
     trace: Any = None  #: Optional[ExecutionTrace]
-    #: backend-specific extras (``t0``, ``on_block``, ``arena``, ...)
-    options: Dict[str, Any] = field(default_factory=dict)
 
     # ----------------------------------------------------------------
 
@@ -185,7 +185,7 @@ class RunConfig:
         This is the serving front's job-spec format: everything a
         remote caller can ask for survives the round trip; the live
         in-process objects (``fault_plan``, ``elastic``,
-        ``trace``, ``options`` and the QoS cancel token) do not — a
+        ``trace`` and the QoS cancel token) do not — a
         service attaches its own.  Of the QoS policy, the declarative
         scalars (deadline, memory ceiling, fallback chain) are kept.
         """

@@ -38,8 +38,8 @@ from repro.runtime.errors import ExecutionError
 __all__ = ["phase_windows", "run_actions", "drive_groups"]
 
 #: ``run_one(group_index, group_id, task_index, task)`` — the per-task
-#: body supplied by each executor (serial action walk, compiled units,
-#: fault-injected attempt, ...).
+#: body supplied by each executor (serial action walk, fault-injected
+#: pooled attempt, ...).
 TaskRunner = Callable[[int, int, int, object], object]
 
 

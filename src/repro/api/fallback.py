@@ -78,8 +78,9 @@ def run_with_fallback(session, config, *, grid=None, schedule=None,
         if i > 0 and snapshot is not None:
             for dst, src in zip(grid.buffers, snapshot):
                 np.copyto(dst, src)
-        hop_config = (config if name == config.backend
-                      else replace(config, backend=name))
+        # each hop runs its own backend's engine
+        hop_config = (config if i == 0
+                      else replace(config, backend=name, engine="auto"))
         try:
             result = session._pipeline_once(
                 hop_config, grid=grid, schedule=schedule,

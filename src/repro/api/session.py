@@ -8,10 +8,11 @@
               --engine lowering--> CompiledPlan
     --Backend.execute--> interior + RunStats
 
-Only the compiled engine holds plans: every field of the plan-cache key
-(spec signature, shape, steps, scheme, tile parameters) is known from
-the :class:`RunConfig`, so a warm run skips the schedule build
-entirely.  Naive-engine runs always build, and never lower.
+The backend picks the engine (:attr:`Backend.engine`).  Only the
+compiled engine holds plans: every field of the plan-cache key (spec
+signature, shape, steps, scheme, tile parameters) is known from the
+:class:`RunConfig`, so a warm run skips the schedule build entirely.
+Naive-engine runs always build, and never lower.
 
 A :class:`Session` binds a stencil spec to a plan cache and a schedule
 builder and exposes the pipeline at three levels:
@@ -44,7 +45,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.api.backends import (
-    Backend,
     BackendUnsupported,
     ExecutionContext,
     get_backend,
@@ -205,13 +205,21 @@ class Session:
                        batch_grids=None) -> RunResult:
         spec = self.spec
         backend = get_backend(config.backend)
+        engine = backend.engine
+        # RunConfig.engine only confirms the backend's engine, and a
+        # prebuilt plan runs only on a compiled-engine backend
+        reason = backend.engine_refusal(config.engine)
+        if reason is None and plan is not None:
+            reason = backend.engine_refusal("compiled")
+        if reason is not None:
+            raise BackendUnsupported(backend.name, reason)
         phases: Dict[str, float] = {}
 
         if schedule is not None:
             config = replace(config, scheme=schedule.scheme,
                              shape=tuple(schedule.shape),
                              steps=schedule.steps)
-        if plan is not None and schedule is None and backend.kind == "schedule":
+        if plan is not None and schedule is None:
             config = replace(config, scheme=plan.scheme,
                              shape=tuple(plan.shape), steps=plan.steps)
 
@@ -234,7 +242,6 @@ class Session:
         # every field of the plan key is known from the config, so a
         # compiled run asks the cache first and builds only on a miss;
         # a hit runs the plan's own schedule from here on
-        engine = self._resolve_engine(config, backend)
         batched = backend.name == "batched"
         need_schedule = backend.kind == "schedule" and schedule is None \
             and plan is None
@@ -340,21 +347,14 @@ class Session:
             verified = self._verify(snapshot, outcome.interior, config.steps)
             phases["verify"] = time.perf_counter() - t0
 
-        stats = self._assemble_stats(config, backend, engine, schedule,
-                                     phases, trace, outcome, delta,
-                                     plan, verified)
+        stats = self._assemble_stats(config, backend, schedule, phases,
+                                     trace, outcome, delta, plan,
+                                     verified)
         stats.stages = stage_seconds
         return RunResult(interior=outcome.interior, stats=stats,
                          config=config, grid=grid, schedule=schedule,
                          lattice=lattice, plan=plan,
                          sanitizer=sanitizer_report)
-
-    @staticmethod
-    def _resolve_engine(config: RunConfig, backend: Backend) -> str:
-        if config.engine == "auto":
-            return ("compiled" if backend.name in ("compiled", "batched")
-                    else "naive")
-        return config.engine
 
     @staticmethod
     def _schedule_summary(schedule, plan) -> Dict[str, Any]:
@@ -379,12 +379,12 @@ class Session:
         return bit_identical(reference_sweep(self.spec, snapshot, steps),
                              interior)
 
-    def _assemble_stats(self, config, backend, engine, schedule, phases,
-                        trace, outcome, delta, plan, verified) -> RunStats:
+    def _assemble_stats(self, config, backend, schedule, phases, trace,
+                        outcome, delta, plan, verified) -> RunStats:
         stats = RunStats(
             backend=backend.name,
             scheme=config.scheme,
-            engine=engine if plan is not None else "naive",
+            engine=backend.engine,
             shape=tuple(config.shape or ()),
             steps=config.steps,
             phases=phases,

@@ -9,7 +9,7 @@ Commands
 * ``run``    — execute a kernel with a chosen tiling scheme, verify
   against the naive sweep and report wall-clock + schedule stats;
   ``--backend`` picks the executor explicitly (default ``auto``
-  resolves it from the other flags), ``--engine compiled`` lowers the
+  resolves it from the other flags); ``--backend compiled`` lowers the
   schedule to a cached compiled plan (:mod:`repro.engine`) instead of
   walking it action by action;
 * ``show``   — render the space-time diagram of a 1D schedule
@@ -134,13 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default="auto", metavar="NAME",
                      help="executor backend (serial|threaded|compiled|"
                      "baseline:*); 'auto' resolves from "
-                     "--threads/--inject/--engine")
-    run.add_argument("--engine", default="naive",
-                     choices=["naive", "compiled"],
-                     help="execution engine: 'naive' walks the schedule "
-                     "action by action; 'compiled' lowers it to a cached "
-                     "CompiledPlan (precomputed slices, fused/batched "
-                     "kernels — see docs/performance.md)")
+                     "--threads/--inject and the scheme; 'compiled' "
+                     "runs a cached CompiledPlan (precomputed slices, "
+                     "fused/batched kernels — see docs/performance.md)")
     _add_inject_arg(run)
     _add_sanitizer_args(run)
     _add_qos_args(run)
@@ -304,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("-b", "--depth", type=int, default=8)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--backend", default="serial", metavar="NAME")
-    submit.add_argument("--engine", default="auto",
-                        choices=["auto", "naive", "compiled"])
     submit.add_argument("--threads", type=int, default=1)
     submit.add_argument("--verify", action="store_true",
                         help="verify against the naive sweep server-side")
@@ -417,26 +411,23 @@ _FAULT_KINDS = {
 }
 
 
-def _resolve_run_backend(args, config, sched, fault_plan) -> str:
+def _resolve_run_backend(args, sched, fault_plan) -> str:
     """The executor precedence for ``--backend auto``.
 
-    Injection or ``--threads`` picks the thread pool (the one local
-    backend that fires task faults), then the compiled engine;
-    ghost-zone (private-task) schedules fall through to the overlapped
-    executor, everything else to the sequential walker.
+    Ghost-zone (private-task) schedules go to the overlapped executor;
+    otherwise injection or ``--threads`` picks the thread pool (the one
+    local backend that fires task faults), everything else the
+    sequential walker.
     """
     from repro.api import normalize_backend
 
     backend = normalize_backend(args.backend)
     if backend != "auto":
         return backend
-    if ((args.threads > 1 or fault_plan is not None)
-            and not sched.private_tasks):
-        return "threaded"
-    if config.engine == "compiled":
-        return "compiled"
     if sched.private_tasks:
         return "baseline:overlapped"
+    if args.threads > 1 or fault_plan is not None:
+        return "threaded"
     return "serial"
 
 
@@ -458,8 +449,7 @@ def cmd_run(args) -> int:
         shape=tuple(args.shape) if args.shape else None,
         steps=args.steps, seed=args.seed,
         scheme=args.scheme, b=args.depth,
-        mutations=tuple(args.mutate),
-        engine=args.engine, threads=args.threads,
+        mutations=tuple(args.mutate), threads=args.threads,
         sanitize=args.sanitize, verify=True,
         fault_plan=fault_plan, qos=_qos_policy(args),
     ).normalized()
@@ -478,7 +468,7 @@ def cmd_run(args) -> int:
           f"redundancy={st['redundancy'] * 100:.1f}%")
 
     backend = ("batched" if args.batch > 1
-               else _resolve_run_backend(args, config, sched, fault_plan))
+               else _resolve_run_backend(args, sched, fault_plan))
     if fault_plan is not None:
         ignored = sorted({f.kind for f in fault_plan.faults}
                          - set(_FAULT_KINDS.get(backend, ())))
@@ -492,10 +482,7 @@ def cmd_run(args) -> int:
     if args.batch > 1:
         return _run_batch(args, session, config, shape)
 
-    overrides = {"backend": backend}
-    if backend == "compiled":
-        overrides["engine"] = "compiled"
-    config = config.with_overrides(overrides)
+    config = config.with_overrides({"backend": backend})
 
     result = session.execute(None, sched, config=config,
                              lattice=built.lattice, params=built.params)
@@ -504,7 +491,7 @@ def cmd_run(args) -> int:
         print(f"degraded: {hop['from']} -> {hop['to']} ({hop['error']})")
     if args.sanitize and result.sanitizer is not None:
         print(f"sanitizer: {result.sanitizer.describe()}")
-    if result.plan is not None and stats.engine == "compiled":
+    if result.plan is not None:
         print(f"engine: compiled — {result.plan.stats.describe()}")
     secs = stats.phases.get("execute", 0.0)
     pts = 1
@@ -520,8 +507,7 @@ def cmd_run(args) -> int:
 def _run_batch(args, session, config, shape) -> int:
     """``repro run --batch N``: N instances as one stacked batch."""
     batch_config = config.with_overrides({
-        "backend": "batched", "engine": "compiled",
-        "shape": tuple(shape), "batch": args.batch,
+        "backend": "batched", "shape": tuple(shape), "batch": args.batch,
     })
     results = session.run_many(batch_config)
     stats = results[0].stats
@@ -796,8 +782,7 @@ def _submit_config(args) -> dict:
         shape=tuple(args.shape) if args.shape else None,
         steps=args.steps, seed=args.seed,
         scheme=args.scheme, b=args.depth,
-        backend=args.backend, engine=args.engine,
-        threads=args.threads, verify=args.verify,
+        backend=args.backend, threads=args.threads, verify=args.verify,
         qos=_qos_policy(args),
     ).normalized().to_json()
 

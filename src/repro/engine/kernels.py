@@ -33,7 +33,7 @@ rank.
 Scratch buffers live in a :class:`ScratchArena`: one geometric-growth
 1D array per (name, dtype), reshaped into views on demand — zero
 steady-state allocation.  Arenas are per-thread (:func:`thread_arena`)
-so compiled plans can be shared by the threaded executor.
+so service worker threads can run shared compiled plans concurrently.
 """
 
 from __future__ import annotations

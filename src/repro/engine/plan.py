@@ -446,9 +446,7 @@ class CompiledPlan:
     """A RegionSchedule lowered to prebuilt execution units.
 
     ``streams[i]`` is the ordered unit list of barrier group
-    ``group_ids[i]``; :func:`_execute_plan` runs them in order.  The
-    per-task view used by the threaded backend is compiled
-    lazily by :meth:`task_units`.
+    ``group_ids[i]``; :func:`_execute_plan` runs them in order.
     """
 
     scheme: str
@@ -464,32 +462,10 @@ class CompiledPlan:
     #: reports it; later runs of the plan get a copy
     schedule_summary: Optional[Dict[str, float]] = field(default=None,
                                                          repr=False)
-    _task_units: Dict[int, List[list]] = field(default_factory=dict,
-                                               repr=False)
 
     @property
     def num_groups(self) -> int:
         return len(self.group_ids)
-
-    def task_units(self, group_index: int) -> List[list]:
-        """Per-task compiled units of one group (for threaded execution).
-
-        Tasks keep their original action order — no cross-task fusion —
-        so the barrier-group independence contract is untouched.
-        """
-        cached = self._task_units.get(group_index)
-        if cached is not None:
-            return cached
-        gid = self.group_ids[group_index]
-        tasks = self.schedule.groups()[gid]
-        ctx = _CompileCtx(self.spec, self.shape)
-        units = [
-            [ctx.slice_unit(a.t, a.region) for a in task.actions
-             if not region_is_empty(a.region)]
-            for task in tasks
-        ]
-        self._task_units[group_index] = units
-        return units
 
     def as_schedule(self) -> RegionSchedule:
         """Re-express the compiled stream as a RegionSchedule.
@@ -878,13 +854,3 @@ def _execute_plan(plan: CompiledPlan, grid: Union[Grid, BatchGrid],
         for unit in stream:
             unit.run(bufs, flats, spec, arena)
     return grid.interior(plan.steps)
-
-
-def run_units(units, grid: Grid, spec: StencilSpec,
-              arena: Optional[ScratchArena] = None) -> None:
-    """Run one task's compiled units (the threaded backend's task body)."""
-    flats = _flat_views(grid)
-    if arena is None:
-        arena = thread_arena()
-    for unit in units:
-        unit.run(grid.buffers, flats, spec, arena)

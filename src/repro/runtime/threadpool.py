@@ -42,7 +42,6 @@ def _run_task(
     group: int = 0,
     index: int = 0,
     fault_plan: Optional[FaultPlan] = None,
-    units=None,
 ) -> int:
     if fault_plan is not None:
         f = fault_plan.stall_fault(group, index)
@@ -51,15 +50,9 @@ def _run_task(
             time.sleep(f.stall_s)
         fault_plan.raise_if_crash(group, index)
     pts = 0
-    if units is not None:
-        from repro.engine.plan import run_units
-
-        run_units(units, grid, spec)
-        pts = task.points
-    else:
-        for a in task.actions:
-            spec.apply_region(grid.at(a.t), grid.at(a.t + 1), a.region)
-            pts += a.points
+    for a in task.actions:
+        spec.apply_region(grid.at(a.t), grid.at(a.t + 1), a.region)
+        pts += a.points
     if fault_plan is not None and not np.issubdtype(spec.dtype, np.integer):
         if fault_plan.corrupt_fault(group, index) is not None:
             poison_task_output(grid, task)
@@ -73,7 +66,6 @@ def _execute_threaded(
     num_threads: int = 4,
     fault_plan: Optional[FaultPlan] = None,
     sanitize: bool = False,
-    plan=None,
     budget=None,
 ) -> np.ndarray:
     """Pooled barrier-group execution (the ``threaded`` backend's engine).
@@ -88,12 +80,6 @@ def _execute_threaded(
     buffer is touched — the check that makes the "tasks of one group
     are independent" assumption above an enforced invariant instead
     of a convention.
-
-    ``plan`` accepts a :class:`~repro.engine.plan.CompiledPlan` for the
-    same schedule: each task then runs its precompiled allocation-free
-    units (per-task view, original action order — cross-task fusion is
-    never handed to threads, so the barrier-group independence contract
-    is untouched).
     """
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
@@ -107,28 +93,10 @@ def _execute_threaded(
         from repro.runtime.sanitizer import sanitize_schedule
 
         sanitize_schedule(spec, schedule).raise_if_violations()
-    if plan is not None:
-        if plan.private:
-            raise ValueError(
-                "ghost-zone plans have no threaded path; use backend 'compiled'"
-            )
-        if (plan.shape != schedule.shape or plan.steps != schedule.steps
-                or plan.scheme != schedule.scheme):
-            raise ValueError("plan was compiled for a different schedule")
     from repro.api.driver import drive_groups
 
-    if plan is not None:
-        # materialise per-group units on the main thread: the plan's
-        # unit cache is lazy and must not be populated from workers
-        all_units = [plan.task_units(gi)
-                     for gi in range(len(plan.group_ids))]
-    else:
-        all_units = None
-
     def run_one(gi, gid, ti, task):
-        group_units = all_units[gi] if all_units is not None else None
-        return _run_task(spec, grid, task, gid, ti, fault_plan,
-                         group_units[ti] if group_units else None)
+        return _run_task(spec, grid, task, gid, ti, fault_plan)
 
     drive_groups(schedule, run_one, num_threads=num_threads, budget=budget)
     return grid.interior(schedule.steps)

@@ -122,8 +122,8 @@ __all__ = ["Supervisor", "SupervisorConfig", "coalesce_key"]
 ISOLATION_MODES = ("thread", "process")
 
 #: backends whose jobs may be coalesced into one stacked batched run:
-#: checkpointable, plan-consuming, and proven bit-identical to the
-#: batched lowering by the parity matrix.  A job already carrying a
+#: checkpointable and proven bit-identical to the batched lowering by
+#: the parity matrix.  A job already carrying a
 #: checkpoint resumes solo (members of a batch must share step 0).
 COALESCE_BACKENDS = frozenset(("serial", "compiled"))
 
@@ -722,9 +722,13 @@ class Supervisor:
             return []
         if cfg.backend not in COALESCE_BACKENDS or cfg.batch != 1:
             return []
+        batched = get_backend("batched")
         batched_cfg = _replace(cfg, backend="batched")
-        if get_backend("batched").supports(session.spec,
-                                           batched_cfg) is not None:
+        # an engine either backend refuses keeps the job solo, where it
+        # runs or fails exactly as it would uncoalesced
+        if (get_backend(cfg.backend).engine_refusal(cfg.engine)
+                or batched.engine_refusal(cfg.engine)
+                or batched.supports(session.spec, batched_cfg)):
             return []
         key = coalesce_key(leader.kernel, leader.config)
         if key is None:

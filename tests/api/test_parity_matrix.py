@@ -76,6 +76,9 @@ BACKEND_PARAMS = [
     for name in backend_names()
 ]
 
+#: the one engine each backend runs; every other backend is "naive"
+ENGINE_OF = {"compiled": "compiled", "batched": "compiled"}
+
 
 def test_support_table_covers_registry():
     """The contract table and the registry must list the same backends."""
@@ -115,6 +118,28 @@ def test_cell(backend, scheme, steps, references):
         assert err.backend == backend
         assert err.reason, "refusal must carry a human-readable reason"
         assert backend in str(err)
+
+
+@pytest.mark.parametrize("engine", ("auto", "naive", "compiled"))
+@pytest.mark.parametrize("backend", BACKEND_PARAMS)
+def test_engine_contract(backend, engine, references):
+    """The backend picks the engine: ``auto`` or the backend's own
+    engine runs bit-identically and is recorded in the stats, any other
+    engine is refused with the backend named."""
+    own = ENGINE_OF.get(backend, "naive")
+    # the ghost-zone executor runs its own scheme only
+    scheme = "tess" if "tess" in SUPPORTED[backend] else "overlapped"
+    config = RunConfig(shape=SHAPE, steps=6, scheme=scheme, b=B,
+                       backend=backend, engine=engine, threads=2, ranks=2)
+    if engine in ("auto", own):
+        result = run(heat1d(), config)
+        assert np.array_equal(references[6], result.interior)
+        assert result.stats.engine == own
+    else:
+        with pytest.raises(BackendUnsupported) as excinfo:
+            run(heat1d(), config)
+        assert excinfo.value.backend == backend
+        assert backend in str(excinfo.value)
 
 
 def test_staged_support_table_covers_registry():

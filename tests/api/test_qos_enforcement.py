@@ -165,6 +165,31 @@ def test_fallback_recovers_from_unsupported_backend():
     assert hop["detail"]
 
 
+@pytest.mark.parametrize("boundary, scheme, backend, fallback", [
+    pytest.param("periodic", "tess", "compiled", "baseline:pointwise",
+                 id="periodic-compiled"),
+    pytest.param("dirichlet", "overlapped", "batched",
+                 "baseline:overlapped", id="overlapped-batched"),
+])
+def test_fallback_with_explicit_engine(boundary, scheme, backend, fallback):
+    """An explicit engine binds the first backend only: each later hop
+    runs its own backend's engine, so the chain lands on the fallback
+    instead of exhausting on an engine refusal."""
+    from repro import get_stencil
+
+    spec = get_stencil("heat1d", boundary=boundary)
+    ref = reference_sweep(spec, Grid(spec, (48,), seed=0), STEPS)
+    config = RunConfig(shape=(48,), steps=STEPS, scheme=scheme, b=B,
+                       backend=backend, engine="compiled",
+                       qos=QoSPolicy(fallback=(fallback,)))
+    result = run(spec, config)
+    assert np.array_equal(ref, result.interior)
+    assert result.stats.backend == fallback
+    (hop,) = result.stats.degradations
+    assert (hop["from"], hop["to"]) == (backend, fallback)
+    assert hop["error"] == "BackendUnsupported"
+
+
 def test_fallback_chain_dedupes_and_exhausts():
     spec = heat1d()
     # merged repeated in its own chain is skipped; blocked also refuses

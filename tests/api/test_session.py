@@ -123,6 +123,16 @@ class TestErrors:
                 RunConfig(shape=(48,), steps=4, b=4, scheme="tess",
                           backend="baseline:blocked", engine="compiled"))
 
+    def test_prebuilt_plan_on_naive_backend(self):
+        """Only a compiled-engine backend runs a prebuilt plan."""
+        session = Session(heat2d())
+        plan = session.run(RunConfig(shape=(24, 24), steps=4, b=4,
+                                     backend="compiled")).plan
+        with pytest.raises(BackendUnsupported) as excinfo:
+            session.execute(Grid(heat2d(), (24, 24)), plan=plan,
+                            backend="serial")
+        assert excinfo.value.backend == "serial"
+
 
 class TestEngineResolution:
     def test_auto_is_naive_for_serial(self):
@@ -136,18 +146,6 @@ class TestEngineResolution:
             RunConfig(shape=(24, 24), steps=4, b=4, backend="compiled"))
         assert result.stats.engine == "compiled"
         assert result.plan is not None
-
-    def test_explicit_compiled_on_serial(self):
-        """serial consumes a plan when asked — same bits, engine
-        recorded as compiled."""
-        session = Session(heat2d())
-        naive = session.run(
-            RunConfig(shape=(24, 24), steps=4, b=4, backend="serial"))
-        lowered = session.run(
-            RunConfig(shape=(24, 24), steps=4, b=4, backend="serial",
-                      engine="compiled"))
-        assert lowered.stats.engine == "compiled"
-        assert np.array_equal(naive.interior, lowered.interior)
 
 
 class TestModuleLevelHelpers:

@@ -15,10 +15,9 @@ from repro.stencils import heat1d, heat2d
 pytestmark = [pytest.mark.api, pytest.mark.engine]
 
 
-def _threaded_config():
+def _compiled_config():
     return RunConfig(shape=(48, 48), steps=8, scheme="tess", b=4,
-                     backend="threaded", engine="compiled", threads=2,
-                     verify=True)
+                     backend="compiled", verify=True)
 
 
 class TestNoDoubleCounting:
@@ -26,8 +25,8 @@ class TestNoDoubleCounting:
         """Identical config through the same session: zero compiles,
         one hit — the per-run delta, not the cache's lifetime tally."""
         session = Session(heat2d(), cache=PlanCache())
-        first = session.run(_threaded_config())
-        second = session.run(_threaded_config())
+        first = session.run(_compiled_config())
+        second = session.run(_compiled_config())
 
         assert first.stats.plan_compiles == 1
         assert second.stats.plan_compiles == 0
@@ -63,10 +62,10 @@ class TestOneSchema:
         assert st.points == 32 * 32 * 8
 
     def test_threaded_compiled_run_blocks(self):
-        result = Session(heat2d()).run(_threaded_config())
+        result = Session(heat2d()).run(_compiled_config())
         st = result.stats
         assert st.comm is None and st.verified is True
-        assert st.cache is not None  # engine=compiled lowered a plan
+        assert st.cache is not None  # the compiled backend lowered a plan
         assert "lower" in st.phases
 
     def test_distributed_run_blocks(self):

@@ -188,16 +188,3 @@ def test_periodic_rejected():
     sched = naive_schedule(get_stencil("heat1d"), (64,), 4)
     with pytest.raises(ValueError, match="periodic"):
         compile_plan(spec, sched)
-
-
-def test_threaded_with_plan():
-    from repro.runtime.threadpool import _execute_threaded
-
-    spec = get_stencil("heat2d")
-    lat = make_lattice(spec, (40, 40), 4)
-    sched = tess_schedule(spec, (40, 40), lat, 9)
-    plan = compile_plan(spec, sched)
-    g_ref, g_thr = _pair(spec, (40, 40))
-    ref = _execute_schedule(spec, g_ref, sched)
-    assert np.array_equal(
-        ref, _execute_threaded(spec, g_thr, sched, num_threads=3, plan=plan))

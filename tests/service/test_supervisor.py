@@ -297,20 +297,26 @@ def test_stop_returns_promptly_during_retry_backoff(store):
 
 def test_jobs_journaled_before_recovery_layer_removal(tmp_path):
     """Wire compatibility across the removal of the ``resilient``
-    backend and the simulator's phase replay: a queued job whose
-    journaled config carries the retired ``max_phase_restarts`` still
-    runs, and a journaled ``resilient`` job fails permanently (unknown
-    backend) instead of crash-looping."""
+    backend, the simulator's phase replay and the serial backend's
+    compiled-plan path: a queued job whose journaled config carries the
+    retired ``max_phase_restarts`` still runs, while a journaled
+    ``resilient`` job and a ``serial`` job asking for the compiled
+    engine fail permanently instead of crash-looping."""
+    from repro.api.backends import get_backend
+
     root = str(tmp_path / "store")
     with JobStore(root, fsync=False) as store:
         old, _ = store.submit("heat1d", dict(CFG, max_phase_restarts=2))
         gone, _ = store.submit("heat1d", dict(CFG, backend="resilient"))
+        forked, _ = store.submit("heat1d", dict(CFG, backend="serial",
+                                                engine="compiled"))
     with JobStore(root, fsync=False) as store:
         sup = Supervisor(store, SupervisorConfig(workers=1))
         sup.start()
         try:
             old = sup.wait(old.job_id, timeout=60)
             gone = sup.wait(gone.job_id, timeout=60)
+            forked = sup.wait(forked.job_id, timeout=60)
         finally:
             sup.stop()
         assert old.state == DONE
@@ -319,6 +325,10 @@ def test_jobs_journaled_before_recovery_layer_removal(tmp_path):
         assert gone.state == FAILED
         assert gone.attempts == 1  # permanent: never retried
         assert "unknown backend 'resilient'" in gone.error
+        assert forked.state == FAILED
+        assert forked.attempts == 1
+        assert get_backend("serial").engine_refusal("compiled") \
+            in forked.error
 
 
 def test_recovery_requeue_runs_to_completion(tmp_path):

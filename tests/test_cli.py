@@ -101,8 +101,9 @@ class TestCliResilience:
 
     @pytest.mark.parametrize("flag", [["--resilient"], ["--fail-fast"],
                                       ["--checkpoint-every", "1"],
-                                      ["--retries", "1"]])
-    def test_run_recovery_flags_are_gone(self, flag, capsys):
+                                      ["--retries", "1"],
+                                      ["--engine", "compiled"]])
+    def test_removed_run_flags_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["run", "heat1d", *flag])
         assert ei.value.code == 2
