@@ -1,11 +1,11 @@
-"""Elastic process-runtime overhead (ISSUE 4).
+"""Elastic process-runtime overhead.
 
 Measures what real rank processes cost over the in-process simulator
-on the fault-free path, and what one mid-run rank kill adds on top.
-Not a paper figure; this quantifies the engineering trade-off recorded
-in ``docs/distributed.md``: process spawn + pickled pipe traffic +
-per-phase checkpoint spills buy crash survival, and recovery must cost
-roughly one replayed phase — not a from-scratch rerun.
+on the fault-free path.  Not a paper figure; this quantifies the
+engineering trade-off recorded in ``docs/distributed.md``: process
+spawn + pickled pipe traffic buy crash containment and detection.
+Recovery from a lost rank is the job service's segment resume, not
+the runtime's, so there is no recovery row here.
 """
 
 import time
@@ -17,7 +17,6 @@ from repro import Grid, get_stencil, make_lattice, reference_sweep
 from repro.distributed import ElasticConfig
 from repro.distributed.exec import _execute_distributed
 from repro.distributed.elastic import _execute_elastic
-from repro.runtime import FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.dist
 
@@ -26,7 +25,7 @@ STEPS = 16
 SHAPE = (2000,)
 RANKS = 4
 
-#: recovery timings tightened so the kill benchmark converges quickly
+#: watchdog timings tightened as in the fault tests
 FAST = ElasticConfig(stall_timeout_s=0.6, heartbeat_timeout_s=1.5,
                      deadline_s=120.0)
 
@@ -38,7 +37,7 @@ def _build():
 
 
 def test_elastic_vs_simulator_overhead(benchmark, capsys):
-    """Points/sec: simulator vs process runtime vs one healed kill."""
+    """Points/sec: simulator vs process runtime."""
     spec, lat = _build()
     points = int(np.prod(SHAPE)) * STEPS
     ref = reference_sweep(spec, Grid(spec, SHAPE, seed=0), STEPS)
@@ -55,9 +54,6 @@ def test_elastic_vs_simulator_overhead(benchmark, capsys):
         rounds=1, iterations=1)
     ela_s, ela_out, ela_stats = timed(lambda g: _execute_elastic(
         spec, g, lat, STEPS, RANKS, config=FAST))
-    kill_s, kill_out, kill_stats = timed(lambda g: _execute_elastic(
-        spec, g, lat, STEPS, RANKS, config=FAST,
-        fault_plan=FaultPlan([FaultSpec("kill_rank", group=3, task=1)])))
 
     with capsys.disabled():
         print("\n[elastic] process-runtime overhead, heat1d "
@@ -65,20 +61,11 @@ def test_elastic_vs_simulator_overhead(benchmark, capsys):
         print(f"  simulator    : {points / sim_s:12.0f} points/s")
         print(f"  elastic      : {points / ela_s:12.0f} points/s "
               f"({ela_stats.messages} msgs, {ela_stats.heartbeats} beats)")
-        print(f"  elastic+kill : {points / kill_s:12.0f} points/s "
-              f"({kill_stats.respawns} respawn, "
-              f"{kill_stats.phase_restarts} phase restart)")
 
     # correctness first: every path is bit-identical to the reference
     assert np.array_equal(ref, sim_out)
     assert np.array_equal(ref, ela_out)
-    assert np.array_equal(ref, kill_out)
-    assert kill_stats.respawns == 1 and kill_stats.phase_restarts >= 1
 
     # the process runtime pays spawn + IPC, but must stay within an
     # order of magnitude of the simulator on a non-trivial run
     assert ela_s < 60.0 * max(sim_s, 0.05)
-    # recovery replays committed state — one kill cannot cost more than
-    # a handful of fault-free runs (it re-executes ~one phase, plus a
-    # watchdog round trip and a respawn)
-    assert kill_s < 5.0 * max(ela_s, 0.5)

@@ -3,9 +3,9 @@
 The barrier groups that make tessellated schedules parallel are also
 consistency points: at every barrier the ping-pong pair is a complete
 state.  The job service builds its one local recovery path on that:
-a job on a checkpointable backend (serial, compiled, threaded) runs in
-segments, each sealed as a checkpoint, and a job that fails mid-run is
-retried from its newest checkpoint — bit-identical to an unbroken run.
+every job runs in segments, each sealed as a checkpoint, and a job
+that fails mid-run is retried from its newest checkpoint —
+bit-identical to an unbroken run.
 
 The distributed simulator recovers nothing in-run; its divergence
 detector turns a lost ghost-band exchange into a loud

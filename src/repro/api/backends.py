@@ -13,7 +13,7 @@ the registry maps canonical names (plus the aliases in
 ``batched``         one compiled plan over N stacked instances
 ``threaded``        barrier-group thread pool, fail-fast
 ``distributed``     in-process rank simulator with band exchanges
-``elastic``         real rank processes, heartbeats, crash recovery
+``elastic``         real rank processes, heartbeats, crash detection
 ``baseline:pointwise``  mask-oracle lattice executor (periodic OK)
 ``baseline:blocked``    unmerged §3 block executor
 ``baseline:merged``     §4.3 merged block executor

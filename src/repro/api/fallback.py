@@ -12,7 +12,7 @@ failure is a property of the backend, not of the caller's request:
   estimated footprint exceeds the memory ceiling (a cheaper family may
   fit);
 * :class:`~repro.runtime.errors.RankLostError` — the elastic runtime
-  lost a rank for good (respawn budget exhausted);
+  lost a rank;
 * :class:`~repro.runtime.errors.RunDeadlineExceeded` — the deadline
   expired at a cooperative boundary; each hop re-arms a *fresh* budget
   (per-attempt semantics), so a cheaper backend gets a full budget.

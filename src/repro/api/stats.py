@@ -11,7 +11,7 @@ them under one roof:
 * ``schedule`` — the structural schedule statistics
   (:func:`~repro.runtime.schedule.schedule_stats`);
 * ``events`` — the runtime event stream (exchange faults, heartbeats,
-  respawns, restores, fallback hops, ...);
+  watchdog verdicts, fallback hops, ...);
 * ``comm`` / ``cache`` — the family-specific counter
   blocks, present when the backend produced them and ``None`` otherwise
   (never zero-filled fakes);
@@ -124,6 +124,10 @@ def _block_from_json(name: str, data: Optional[Dict[str, Any]]) -> Any:
         from repro.distributed.exec import CommStats
 
         data = dict(data)
+        # counters of the retired in-run rank respawn and phase replay,
+        # still present in stats sealed before their removal
+        data.pop("respawns", None)
+        data.pop("phase_restarts", None)
         # JSON stringified the int stage keys; restore them
         data["stage_bytes"] = {int(k): int(v) for k, v in
                                data.get("stage_bytes", {}).items()}

@@ -21,7 +21,7 @@ Commands
 * ``dist``   — §4.1: verified multi-rank execution plus an α–β
   cluster strong-scaling estimate; ``--backend distributed`` (default)
   is the in-process simulator, ``--backend elastic`` the real rank
-  processes (heartbeats, checksummed exchanges, crash recovery — see
+  processes (heartbeats, checksummed exchanges, crash detection — see
   ``docs/distributed.md``); ``--procs N`` is the historical spelling
   of ``--backend elastic --ranks N``, kept as a hidden alias;
 * ``table``  — print the paper's Table 1 for a given dimension;
@@ -41,10 +41,10 @@ Commands
 
 ``run`` and ``dist`` take ``--inject kind@group[/task][xN]`` fault
 specs (see ``docs/reliability.md``; ``run`` refuses a backend that
-would ignore them), ``dist`` takes ``--resilient``/``--fail-fast``
-(elastic recovery budgets, or the simulator's divergence detector),
-both take ``--sanitize`` to refuse structurally
-illegal schedules before execution (see ``docs/sanitizer.md``), and
+would ignore them), ``dist`` takes ``--check-divergence`` (the
+simulator's ghost-band divergence detector), both take ``--sanitize``
+to refuse structurally illegal schedules before execution (see
+``docs/sanitizer.md``), and
 the QoS flags ``--deadline SECONDS`` / ``--fallback a,b,...`` (see
 ``docs/reliability.md``).
 Errors map to distinct exit codes instead of tracebacks:
@@ -55,7 +55,7 @@ Errors map to distinct exit codes instead of tracebacks:
 4 = :class:`GuardViolation` (invariant
 guard / ghost-band divergence), 5 = :class:`SanitizerViolation`
 (structurally illegal schedule), 6 = :class:`RankLostError` (rank
-process lost, respawn budget spent), 7 = :class:`ExchangeTimeoutError`
+process died or stalled), 7 = :class:`ExchangeTimeoutError`
 (boundary band never arrived within the retry budget),
 8 = :class:`ChecksumMismatchError` (band payload kept failing its CRC),
 9 = :class:`RunDeadlineExceeded` (the ``--deadline`` budget expired
@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="'distributed' = in-process rank simulator "
                       "(default); 'elastic' = real rank processes with "
                       "heartbeats, checksummed exchanges and crash "
-                      "recovery")
+                      "detection")
     dist.add_argument("--ranks", type=int, default=4)
     dist.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 8])
     # historical spelling of --backend elastic --ranks N, hidden alias
@@ -188,17 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--max-retries", type=int, default=3,
                       help="per-message retransmit budget for the "
                       "elastic backend")
-    dist.add_argument("--max-respawns", type=int, default=2,
-                      help="per-rank respawn budget for the elastic "
-                      "backend in --resilient mode")
-    mode = dist.add_mutually_exclusive_group()
-    mode.add_argument("--resilient", action="store_true",
-                      help="elastic backend: spend the respawn and "
-                      "phase-restart budgets; simulator: run the "
-                      "divergence detector")
-    mode.add_argument("--fail-fast", action="store_true",
-                      help="die on the first failure with a structured "
-                      "error (default)")
     _add_inject_arg(dist)
     _add_qos_args(dist)
     dist.add_argument("--ghost", type=int, default=None,
@@ -206,8 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "(the divergence detector still validates the "
                       "required width)")
     dist.add_argument("--check-divergence", action="store_true",
-                      help="run the ghost-band divergence detector "
-                      "(implied by --resilient)")
+                      help="run the ghost-band divergence detector")
     dist.add_argument("--sanitize", action="store_true",
                       help="ghost-band-aware structural pre-flight: "
                       "refuse an illegal plan (e.g. an under-sized "
@@ -607,16 +595,14 @@ def cmd_dist(args) -> int:
         from repro.distributed import ElasticConfig, RetryPolicy
 
         ranks = args.procs if args.procs is not None else args.ranks
-        # without --resilient, every recovery budget is zero: the first
-        # rank loss / exhausted exchange dies with its typed exit code
+        # a lost rank or an exhausted exchange dies with its typed exit
+        # code; recovery is the job service's checkpoint resume
         config = config.with_overrides({
             "ranks": ranks,
             "elastic": ElasticConfig(
                 heartbeat_s=args.heartbeat_ms / 1e3,
                 heartbeat_timeout_s=max(1.0, 50 * args.heartbeat_ms / 1e3),
                 retry=RetryPolicy(max_retries=args.max_retries),
-                max_respawns=args.max_respawns if args.resilient else 0,
-                max_phase_restarts=4 if args.resilient else 0,
             ),
         })
         kind = "rank process(es)"
@@ -624,7 +610,7 @@ def cmd_dist(args) -> int:
         ranks = args.ranks
         config = config.with_overrides({
             "ranks": ranks,
-            "check_divergence": args.check_divergence or args.resilient,
+            "check_divergence": args.check_divergence,
         })
         kind = "simulated ranks"
 

@@ -24,13 +24,14 @@ their shared ``±ghost`` window (the induction invariant "arrays
 correct on slab ⊕ ghost", checked where it is falsifiable).  A
 detection raises :class:`~repro.runtime.errors.GhostDivergenceError`;
 the simulator does not recover in-run — the job service retries the
-whole job.
+job from its newest segment checkpoint (the final slabs are written
+back into the grid, so distributed jobs checkpoint like any other).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +64,6 @@ class CommStats:
     garbles: int = 0
     #: neighbour-pair consistency checks run by the detector
     divergence_checks: int = 0
-    #: phases the elastic runtime replayed from their checkpoint
-    phase_restarts: int = 0
     #: receive timeouts observed while waiting for a boundary band
     timeouts: int = 0
     #: retransmit requests issued (after a timeout or a bad checksum)
@@ -73,11 +72,9 @@ class CommStats:
     checksum_failures: int = 0
     #: heartbeat messages the coordinator received
     heartbeats: int = 0
-    #: rank processes respawned after a loss
-    respawns: int = 0
-    #: owned-block plan compilations reported by rank incarnations
-    #: (each incarnation compiles exactly once, at startup — never
-    #: per phase; see :class:`repro.distributed.worker._Worker`)
+    #: owned-block plan compilations reported by rank processes (each
+    #: compiles exactly once, at startup — never per phase; see
+    #: :class:`repro.distributed.worker._Worker`)
     plan_compiles: int = 0
 
     def record(self, stage_idx: int, nbytes: int) -> None:
@@ -94,21 +91,33 @@ class CommStats:
             setattr(self, key, getattr(self, key) + int(other.get(key, 0)))
 
     def describe_resilience(self) -> str:
-        """One-line report of the failure/recovery counters."""
+        """One-line report of the fault and retransmit counters."""
         return (
             f"drops={self.drops} garbles={self.garbles} "
             f"timeouts={self.timeouts} retries={self.retries} "
             f"checksum_failures={self.checksum_failures} "
-            f"heartbeats={self.heartbeats} respawns={self.respawns} "
-            f"phase_restarts={self.phase_restarts} "
+            f"heartbeats={self.heartbeats} "
             f"divergence_checks={self.divergence_checks}"
         )
 
     @property
     def had_faults(self) -> bool:
         return bool(self.drops or self.garbles or self.timeouts
-                    or self.retries or self.checksum_failures
-                    or self.respawns or self.phase_restarts)
+                    or self.retries or self.checksum_failures)
+
+
+def write_slabs(grid: Grid, steps: int, part: SlabPartition,
+                slabs: Sequence[np.ndarray]) -> None:
+    """Write every rank's final slab into ``grid`` at time ``steps``.
+
+    Like every other backend, a distributed run leaves its final state
+    in the grid's ping-pong pair (``buffers[steps % 2]``), so the job
+    service can seal it as a segment checkpoint.  The halo is the
+    untouched Dirichlet boundary.
+    """
+    out = grid.interior(steps)
+    for r, slab in enumerate(slabs):
+        out[part.slab(r)] = slab
 
 
 def _execute_distributed(
@@ -128,8 +137,9 @@ def _execute_distributed(
 ) -> Tuple[np.ndarray, CommStats]:
     """Rank simulation (the ``distributed`` backend's engine).
 
-    Returns the assembled interior at time ``steps`` plus the
-    communication statistics.  Dirichlet boundaries only (like the
+    Writes the assembled rank slabs into ``grid.buffers[steps % 2]``
+    and returns ``grid.interior(steps)`` plus the communication
+    statistics.  Dirichlet boundaries only (like the
     paper's evaluated configuration).
 
     ``fault_plan`` injects ``drop``/``garble`` exchange faults
@@ -309,9 +319,7 @@ def _execute_distributed(
         stage_counter += len(plan.stages)
 
     # assemble: each rank contributes its own slab at the final time
-    out = np.zeros(grid.shape, dtype=spec.dtype)
-    for r, (lo, hi) in enumerate(bounds):
-        sl = [slice(None)] * len(grid.shape)
-        sl[axis] = slice(lo, hi)
-        out[tuple(sl)] = locals_[r][steps % 2][interior][tuple(sl)]
-    return out, stats
+    write_slabs(grid, steps, part, [
+        locals_[r][steps % 2][interior][part.slab(r)]
+        for r in range(ranks)])
+    return grid.interior(steps), stats

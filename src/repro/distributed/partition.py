@@ -44,6 +44,13 @@ class SlabPartition:
         cuts = [round(r * n / self.ranks) for r in range(self.ranks + 1)]
         return [(cuts[r], cuts[r + 1]) for r in range(self.ranks)]
 
+    def slab(self, rank: int) -> Tuple[slice, ...]:
+        """Index of ``rank``'s slab in an interior-shaped array."""
+        lo, hi = self.bounds()[rank]
+        index = [slice(None)] * len(self.shape)
+        index[self.axis] = slice(lo, hi)
+        return tuple(index)
+
     def owner_of(self, coord: int) -> int:
         """Rank owning a coordinate along the partition axis."""
         n = self.shape[self.axis]

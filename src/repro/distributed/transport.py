@@ -1,18 +1,17 @@
-"""Checksummed duplex channels for the elastic process runtime.
+"""Checksummed duplex channels for the distributed process runtime.
 
 Every rank of :mod:`repro.distributed.elastic` talks to the
 coordinator over one duplex OS pipe; the coordinator routes
-rank-to-rank traffic (boundary bands, retransmit requests), which is
-what keeps recovery tractable — respawning a rank only requires one
-fresh pipe, never re-plumbing live neighbours.
+rank-to-rank traffic (boundary bands, retransmit requests), so one
+pipe per rank is all the plumbing a run needs.
 
 The wire unit is a :class:`Message`.  Data-bearing messages (``band``,
 ``result``) carry their payload as *bytes* plus a CRC32 computed at
 pack time, so corruption in flight — the ``flip_bits`` fault, or real
 link/memory trouble — is caught at *receive* time with a retransmit
 request, instead of weeks later as numeric divergence.  Control
-messages (heartbeats, barrier/commit/abort/resume tokens) carry small
-Python objects and are not checksummed.
+messages (heartbeats, the start barrier's hello/resume, failure
+reports) carry small Python objects and are not checksummed.
 
 Receive-side robustness lives in :class:`RetryPolicy`: a bounded
 number of per-message wall-clock timeouts, each followed by a
@@ -41,23 +40,16 @@ from typing import Any, Optional, Tuple
 BAND = "band"
 #: receiver -> sender (routed): please retransmit band ``key``
 RESEND = "resend"
-#: worker liveness + progress beacon (payload: (phase, stage))
+#: worker liveness + progress beacon (payload: (state, counter, phase))
 HEARTBEAT = "heartbeat"
-#: worker announces it is up (initial spawn or respawn)
+#: worker announces it is up (start barrier)
 HELLO = "hello"
-#: worker finished a phase and spilled its checkpoint (payload: stats)
-PHASE_DONE = "phase-done"
-#: coordinator: phase globally complete, prune old checkpoints, go on
-COMMIT = "commit"
-#: coordinator: kill current phase, restore checkpoint ``payload``
-ABORT = "abort"
-#: worker: restored to the requested checkpoint, waiting for resume
-RESTORED = "restored"
-#: coordinator: all ranks restored/respawned, resume execution
+#: coordinator: every rank is up, start executing
 RESUME = "resume"
-#: worker's final slab (checksummed payload)
+#: worker's final slab and exchange counters (checksummed payload)
 RESULT = "result"
 #: worker-reported structured failure (exchange timeout, checksum…)
+#: with its exchange counters
 FAILURE = "failure"
 #: coordinator: run over, exit cleanly
 SHUTDOWN = "shutdown"

@@ -1,4 +1,4 @@
-"""Rank-process main loop of the elastic distributed runtime.
+"""Rank-process main loop of the distributed process runtime.
 
 One :func:`worker_main` process per rank.  Per stage it executes the
 blocks it owns (the same block→rank ownership as the simulated
@@ -6,33 +6,25 @@ executor, via :func:`~repro.distributed.partition.build_ownership`),
 pushes its fresh boundary bands to both neighbours (routed through the
 coordinator), then blocks on the neighbours' bands with the
 receiver-driven timeout/retransmit protocol of
-:mod:`~repro.distributed.transport`.  Per *phase* (one ``b``-deep time
-tile) it spills an atomic checkpoint of its buffer pair to the run's
-spill directory and enters the coordinator's commit barrier — phase
-boundaries are global consistency points (every rank's ping-pong pair
-is complete there), so the spill file is everything a restore or a
-respawned successor incarnation needs.
+:mod:`~repro.distributed.transport`.  After the last phase it sends its
+slab, with the run's exchange counters, as one CRC-sealed ``result``.
 
 Failure behaviour:
 
 * an injected ``kill_rank`` hit exits the process hard
-  (``os._exit``) — the coordinator notices via the dead process /
-  missed heartbeats and respawns incarnation ``i+1``, which pre-burns
-  its fault plan (:meth:`FaultPlan.preburn_rank_lifecycle`) so a
-  transient kill does not re-fire forever;
-* an injected ``stall_rank`` hit wedges the compute loop; the worker
-  keeps pumping control messages while it sleeps, so a coordinator
-  ``abort`` (triggered by the straggler watchdog or by a neighbour's
-  exchange timeout) can still un-wedge it;
+  (``os._exit``); the coordinator sees the dead process and fails the
+  run with :class:`~repro.runtime.errors.RankLostError`;
+* an injected ``stall_rank`` hit wedges the compute loop with frozen
+  progress, which the coordinator's straggler watchdog reports the
+  same way;
 * a band that never arrives, or keeps failing its CRC, exhausts the
   retry budget and is reported to the coordinator as a structured
-  ``failure`` message; the worker then parks and waits for the
-  coordinator's verdict (phase abort + restore, or shutdown).
+  ``failure`` message; the worker then parks until shutdown.
 
 A daemon heartbeat thread shares the channel (thread-safe sends) and
 beacons ``(state, monotone counter, phase)`` so the coordinator can
 tell a dead process (no beacons) from a wedged one (beacons with
-frozen *compute* progress) from one legitimately idling at a barrier.
+frozen *compute* progress) from one legitimately waiting on a band.
 """
 
 from __future__ import annotations
@@ -48,9 +40,7 @@ import numpy as np
 from repro.core.profiles import TessLattice
 from repro.distributed.partition import SlabPartition, build_ownership
 from repro.distributed.transport import (
-    ABORT,
     BAND,
-    COMMIT,
     COORDINATOR,
     Channel,
     ChannelClosed,
@@ -58,9 +48,7 @@ from repro.distributed.transport import (
     HEARTBEAT,
     HELLO,
     Message,
-    PHASE_DONE,
     RESEND,
-    RESTORED,
     RESULT,
     RESUME,
     RetryPolicy,
@@ -76,7 +64,6 @@ from repro.stencils.spec import StencilSpec, region_is_empty
 
 #: process exit codes (distinct so the coordinator's logs are readable)
 KILLED_BY_FAULT = 41      #: injected ``kill_rank`` fired
-CHECKPOINT_MISSING = 43   #: restore asked for a spill file that is gone
 ORPHANED = 44             #: coordinator channel closed under us
 
 #: ``Message.key`` used for final-result retransmit requests
@@ -85,7 +72,7 @@ RESULT_KEY = (-1,)
 
 @dataclass
 class WorkerConfig:
-    """Everything one rank incarnation needs (fork-inherited)."""
+    """Everything one rank process needs (fork-inherited)."""
 
     rank: int
     ranks: int
@@ -96,21 +83,9 @@ class WorkerConfig:
     axis: int
     ghost: int
     init_buffers: List[np.ndarray]
-    ckpt_dir: str
-    epoch: int = 0
-    incarnation: int = 0
-    restore_phase: int = 0
     heartbeat_s: float = 0.05
     retry: RetryPolicy = RetryPolicy()
     fault_plan: Optional[FaultPlan] = None
-
-
-class _PhaseAborted(Exception):
-    """Coordinator ordered: drop the phase, restore, wait for resume."""
-
-    def __init__(self, epoch: int, restore_phase: int):
-        self.epoch = epoch
-        self.restore_phase = restore_phase
 
 
 class _Shutdown(Exception):
@@ -132,7 +107,12 @@ class _Worker:
         self.cfg = cfg
         self.chan = chan
         self.rank = cfg.rank
-        self.epoch = cfg.epoch
+        # (state, monotone counter, phase) read by the heartbeat thread,
+        # which beats from the start so that a slow owned-plan compile
+        # is not mistaken for a dead rank
+        self.progress: Tuple[str, int, int] = ("init", 0, 0)
+        self._beat_stop = threading.Event()
+        threading.Thread(target=self._heartbeat_loop, daemon=True).start()
         self.spec = cfg.spec
         shape = tuple(cfg.shape)
         self.shape = shape
@@ -144,7 +124,6 @@ class _Worker:
         self.n_stages = len(plan.stages)
         self.owned = owned[self.rank]
         self.interior = cfg.spec.interior_slices(shape)
-        self.init = [buf.copy() for buf in cfg.init_buffers]
         self.bufs = [buf.copy() for buf in cfg.init_buffers]
         self.phases: List[Tuple[int, int]] = [
             (tt, min(self.b, cfg.steps - tt))
@@ -157,12 +136,9 @@ class _Worker:
         self.stats: Dict[str, int] = dict(drops=0, timeouts=0, retries=0,
                                           checksum_failures=0)
         self._compile_owned_plan()
-        # (state, monotone counter, phase) read by the heartbeat thread
-        self.progress: Tuple[str, int, int] = ("init", 0, cfg.restore_phase)
-        self._beat_stop = threading.Event()
 
     def _compile_owned_plan(self) -> None:
-        """Compile this rank's owned-block geometry ONCE per incarnation.
+        """Compile this rank's owned-block geometry ONCE per process.
 
         ``blk.region_at(s, ...)`` depends only on the stage, block and
         local step ``s`` — never on the phase start ``tt`` — so every
@@ -207,7 +183,7 @@ class _Worker:
     def _send_ctrl(self, kind: str, key: Tuple[int, ...] = (),
                    payload=None) -> None:
         self.chan.send(Message(kind=kind, src=self.rank, dst=COORDINATOR,
-                               epoch=self.epoch, key=key, payload=payload))
+                               epoch=0, key=key, payload=payload))
 
     def _heartbeat_loop(self) -> None:
         while not self._beat_stop.wait(self.cfg.heartbeat_s):
@@ -215,7 +191,7 @@ class _Worker:
                 state, counter, phase = self.progress
                 self.chan.send(Message(
                     kind=HEARTBEAT, src=self.rank, dst=COORDINATOR,
-                    epoch=self.epoch, payload=(state, counter, phase),
+                    epoch=0, payload=(state, counter, phase),
                 ))
             except ChannelClosed:
                 return
@@ -224,20 +200,14 @@ class _Worker:
         """Receive and pre-process at most one message.
 
         Bands are buffered into the inbox, retransmit requests are
-        serviced from the outbox, aborts/shutdowns raise; anything the
-        caller might be waiting on (``commit``/``resume``) is returned.
+        serviced from the outbox, a shutdown raises; anything else (the
+        start barrier's ``resume``) is returned.
         """
         msg = self.chan.recv(timeout_s)
         if msg is None:
             return None
         if msg.kind == SHUTDOWN:
             raise _Shutdown()
-        if msg.kind == ABORT:
-            if msg.epoch > self.epoch:
-                raise _PhaseAborted(msg.epoch, int(msg.payload))
-            return None  # stale duplicate
-        if msg.epoch != self.epoch:
-            return None  # message from a killed phase
         if msg.kind == BAND:
             key = (msg.key[0], msg.src)
             if key in self.done_keys:
@@ -263,7 +233,7 @@ class _Worker:
 
     def _send_resend(self, stage: int, src: int) -> None:
         self.chan.send(Message(kind=RESEND, src=self.rank, dst=src,
-                               epoch=self.epoch, key=(stage,)))
+                               epoch=0, key=(stage,)))
 
     def _service_resend(self, msg: Message) -> None:
         if tuple(msg.key) == RESULT_KEY:
@@ -303,7 +273,7 @@ class _Worker:
 
     def _send_band(self, stage: int, dst: int, payload) -> None:
         """One band send attempt, subject to transport fault injection."""
-        msg = make_data_message(BAND, self.rank, dst, self.epoch,
+        msg = make_data_message(BAND, self.rank, dst, 0,
                                 (stage,), payload)
         if self.cfg.fault_plan is not None:
             f = self.cfg.fault_plan.send_fault(stage, self.rank)
@@ -335,39 +305,6 @@ class _Worker:
         cause = "checksum" if self.crc_failures.get(key) else "timeout"
         raise _ExchangeFailed(cause, stage, src, retry.attempts)
 
-    # -- checkpoints -------------------------------------------------
-
-    def _ckpt_path(self, phase: int) -> str:
-        return os.path.join(self.cfg.ckpt_dir,
-                            f"rank{self.rank}_phase{phase}.npz")
-
-    def _write_ckpt(self, phase: int) -> None:
-        path = self._ckpt_path(phase)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            np.savez(f, b0=self.bufs[0], b1=self.bufs[1],
-                     phase=np.int64(phase))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)  # atomic: a crash mid-write cannot corrupt
-
-    def _prune_ckpt(self, phase: int) -> None:
-        try:
-            os.remove(self._ckpt_path(phase))
-        except FileNotFoundError:
-            pass
-
-    def _restore(self, phase: int) -> None:
-        if phase == 0:
-            self.bufs = [buf.copy() for buf in self.init]
-            return
-        path = self._ckpt_path(phase)
-        if not os.path.exists(path):
-            os._exit(CHECKPOINT_MISSING)
-        with np.load(path) as data:
-            assert int(data["phase"]) == phase
-            self.bufs = [data["b0"].copy(), data["b1"].copy()]
-
     # -- the run -----------------------------------------------------
 
     def _run_phase(self, p: int) -> None:
@@ -382,7 +319,8 @@ class _Worker:
                 f = plan_faults.stall_rank_fault(stage, self.rank)
                 if f is not None:
                     # wedge with frozen *compute* progress, but keep
-                    # pumping so an abort can still un-wedge us
+                    # pumping so a shutdown or a dead coordinator still
+                    # ends us
                     end = time.monotonic() + f.stall_s
                     while time.monotonic() < end:
                         self._pump(min(0.05, end - time.monotonic()))
@@ -409,13 +347,6 @@ class _Worker:
             for src in self._neighbours():
                 self._apply_band(self._await_band(stage, src))
 
-    def _await_commit(self, p: int) -> None:
-        while True:
-            msg = self._pump(0.25)
-            if (msg is not None and msg.kind == COMMIT
-                    and tuple(msg.key) == (p,)):
-                return
-
     def _await_resume(self) -> None:
         while True:
             msg = self._pump(0.25)
@@ -423,92 +354,45 @@ class _Worker:
                 return
 
     def _send_result(self) -> None:
-        lo, hi = self.bounds[self.rank]
-        sl = [slice(None)] * len(self.shape)
-        sl[self.cfg.axis] = slice(lo, hi)
-        slab = self.bufs[self.cfg.steps % 2][self.interior][tuple(sl)].copy()
+        slab = self.bufs[self.cfg.steps % 2][self.interior][
+            self.part.slab(self.rank)].copy()
         self.chan.send(make_data_message(
-            RESULT, self.rank, COORDINATOR, self.epoch, RESULT_KEY,
+            RESULT, self.rank, COORDINATOR, 0, RESULT_KEY,
             (slab, dict(self.stats, plan_compiles=self._plan_compiles)),
         ))
 
-    def _handle_abort(self, ab: _PhaseAborted) -> int:
-        """Restore, report, and wait out the resume barrier.
-
-        Loops because a *new* abort can land while we wait for resume
-        (a second rank failing mid-recovery bumps the epoch again).
-        Returns the phase index execution resumes from.
-        """
-        while True:
-            self.epoch = ab.epoch
-            p = ab.restore_phase
-            self._restore(p)
-            self.inbox.clear()
-            self.outbox.clear()
-            self.done_keys.clear()
-            self.crc_failures.clear()
-            self._bump("restored", p)
-            self._send_ctrl(RESTORED)
-            try:
-                self._await_resume()
-                return p
-            except _PhaseAborted as again:
-                ab = again
-
     def run(self) -> None:
-        if self.cfg.fault_plan is not None and self.cfg.incarnation > 0:
-            self.cfg.fault_plan.preburn_rank_lifecycle(
-                self.rank, self.cfg.incarnation)
-        beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
-        beat.start()
-        p = self.cfg.restore_phase
-        if p > 0:
-            self._restore(p)
         try:
-            self._send_ctrl(HELLO, payload=self.cfg.incarnation)
+            self._send_ctrl(HELLO)
+            self._await_resume()
             try:
-                self._await_resume()
-            except _PhaseAborted as ab:
-                p = self._handle_abort(ab)
-            while True:
-                try:
-                    while p < len(self.phases):
-                        self._run_phase(p)
-                        self._write_ckpt(p + 1)
-                        self._bump("barrier", p)
-                        self._send_ctrl(PHASE_DONE, key=(p,),
-                                        payload=dict(self.stats))
-                        self.stats = dict(drops=0, timeouts=0, retries=0,
-                                          checksum_failures=0)
-                        self._await_commit(p)
-                        self._prune_ckpt(p)
-                        p += 1
-                    self._bump("done", p)
-                    self._send_result()
-                    while True:  # park: serve result retransmits
-                        self._pump(0.25)
-                except _PhaseAborted as ab:
-                    p = self._handle_abort(ab)
-                except _ExchangeFailed as exc:
-                    self._send_ctrl(FAILURE, key=(exc.stage, exc.src),
-                                    payload=(exc.cause, exc.attempts,
-                                             dict(self.stats)))
-                    self.stats = dict(drops=0, timeouts=0, retries=0,
-                                      checksum_failures=0)
-                    self._bump("failed", p)
-                    try:
-                        while True:  # park until the coordinator decides
-                            self._pump(0.25)
-                    except _PhaseAborted as ab:
-                        p = self._handle_abort(ab)
+                for p in range(len(self.phases)):
+                    self._run_phase(p)
+                self._bump("done", len(self.phases))
+                self._send_result()
+            except _ExchangeFailed as exc:
+                self._send_ctrl(FAILURE, key=(exc.stage, exc.src),
+                                payload=(exc.cause, exc.attempts,
+                                         dict(self.stats)))
+                self._bump("failed", len(self.phases))
+            while True:  # park: serve result retransmits until shutdown
+                self._pump(0.25)
         except _Shutdown:
             pass
         finally:
             self._beat_stop.set()
 
 
-def worker_main(cfg: WorkerConfig, conn) -> None:
-    """Process entry point for one rank incarnation."""
+def worker_main(cfg: WorkerConfig, conn, coordinator_ends=()) -> None:
+    """Process entry point for one rank.
+
+    ``coordinator_ends`` are the coordinator's pipe ends the fork
+    inherited (this rank's and every earlier rank's); closing them lets
+    a dead coordinator surface here as end-of-file, so an orphaned rank
+    exits instead of waiting forever.
+    """
+    for end in coordinator_ends:
+        end.close()
     chan = Channel(conn)
     try:
         _Worker(cfg, chan).run()

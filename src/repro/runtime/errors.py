@@ -20,9 +20,9 @@ programmatically instead of parsing tracebacks:
 * :class:`RankLostError` / :class:`ExchangeTimeoutError` /
   :class:`ChecksumMismatchError` — the elastic process runtime's
   terminal verdicts (:mod:`repro.distributed.elastic`): a rank process
-  died (or was killed as a straggler) and the respawn budget is spent,
-  a boundary-band message never arrived within its retry budget, or a
-  payload kept failing its CRC across retransmits;
+  died (or was culled as a straggler), a boundary-band message never
+  arrived within its retry budget, or a payload kept failing its CRC
+  across retransmits;
 * :class:`RunDeadlineExceeded` / :class:`RunCancelled` — the
   *run-level* QoS verdicts (:mod:`repro.runtime.qos`): the caller's
   :class:`~repro.runtime.qos.QoSPolicy` deadline expired at a
@@ -277,27 +277,20 @@ class RunCancelled(ExecutionError):
 
 
 class RankLostError(ExecutionError):
-    """A rank process died (or was culled as a straggler) for good.
+    """A rank process died or was culled as a straggler.
 
-    Raised by the elastic coordinator once a lost rank cannot be (or
-    may no longer be) respawned: the run is not resilient, or the
-    respawn budget is exhausted.  ``cause`` distinguishes a dead
-    process (``"dead"``), a missed heartbeat (``"heartbeat"``) and a
-    progress stall (``"straggler"``).
+    Raised by the elastic coordinator at once: there is no in-run
+    respawn.  Transient — the job service retries the job from its
+    newest sealed checkpoint.  ``cause`` distinguishes a dead process
+    (``"dead"``), a missed heartbeat (``"heartbeat"``) and a progress
+    stall (``"straggler"``).
     """
 
-    def __init__(self, rank: int, cause: str, *, respawns: int = 0,
-                 detail: str = ""):
+    def __init__(self, rank: int, cause: str):
         self.rank = rank
         self.cause = cause
-        self.respawns = respawns
-        extra = f": {detail}" if detail else ""
-        ExecutionError.__init__(
-            self,
-            f"rank {rank} lost ({cause}) after {respawns} respawn(s){extra}",
-            task_label=f"rank {rank}",
-            attempts=respawns + 1,
-        )
+        ExecutionError.__init__(self, f"rank {rank} lost ({cause})",
+                                task_label=f"rank {rank}")
 
 
 class WorkerCrashed(ExecutionError):

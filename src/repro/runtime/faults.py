@@ -21,7 +21,8 @@ well-defined probe points:
   per rank at each stage of the *process* runtime
   (:mod:`repro.distributed.worker`); a ``kill_rank`` hit makes the
   rank process exit hard, a ``stall_rank`` hit makes it sleep long
-  enough to trip the coordinator's straggler watchdog;
+  enough to trip the coordinator's straggler watchdog (either ends
+  the run with ``RankLostError``);
 * :meth:`FaultPlan.send_fault` — per source rank at each process-
   runtime band send; ``drop_msg`` suppresses the message (the receiver
   times out and requests a retransmit), ``flip_bits`` flips payload
@@ -35,16 +36,11 @@ faults fire at the same probe points in every run, which is what makes
 property.  :meth:`FaultPlan.reset` re-arms the plan so one instance
 can drive both runs of such a comparison.
 
-Process faults and respawns: each rank process owns its (inherited)
-copy of the plan, so hit counters do not survive a rank being killed
-and respawned.  :meth:`FaultPlan.preburn_rank_lifecycle` restores
-determinism: a respawned rank burns one hit of its earliest armed
-``kill_rank``/``stall_rank`` fault per prior incarnation, so a
-transient kill fires exactly once across the whole elastic run instead
-of re-killing every incarnation.  :meth:`FaultPlan.random_process`
-samples chaos plans from *per-rank substreams*
-(``default_rng([seed, rank])``), so one rank's fault draw is
-independent of how many ranks exist and stable across respawns.
+Process faults: each rank process probes its own (fork-inherited) copy
+of the plan, so the parent's hit counters never move for them.
+:meth:`FaultPlan.random_process` samples chaos plans from *per-rank
+substreams* (``default_rng([seed, rank])``), so one rank's fault draw
+is independent of how many ranks exist.
 """
 
 from __future__ import annotations
@@ -67,8 +63,6 @@ EXCHANGE_KINDS = ("drop", "garble")
 #: process, ``stall_rank`` wedges it, ``drop_msg`` suppresses a band
 #: send, ``flip_bits`` corrupts a band payload after its CRC.
 PROCESS_KINDS = ("kill_rank", "stall_rank", "drop_msg", "flip_bits")
-#: Process kinds that end (kill) or wedge (stall) a rank's incarnation.
-LIFECYCLE_KINDS = ("kill_rank", "stall_rank")
 ALL_KINDS = TASK_KINDS + EXCHANGE_KINDS + PROCESS_KINDS
 
 _SPEC_RE = re.compile(
@@ -79,8 +73,8 @@ _SPEC_RE = re.compile(
 
 #: ``stall_rank`` sleep when the spec does not say otherwise: long
 #: enough that any sane straggler watchdog fires first (the coordinator
-#: SIGKILLs the sleeping process, so the duration is a backstop, not a
-#: wait the run actually serves).
+#: then shuts the stalled rank down, so the duration is a backstop, not
+#: a wait the run actually serves).
 DEFAULT_RANK_STALL_S = 30.0
 
 
@@ -212,9 +206,7 @@ class FaultPlan:
 
         Each rank draws its faults from its own substream
         (``default_rng([seed, rank])``), so rank ``r``'s faults are
-        identical whether the run has 2 ranks or 200, and identical in
-        every incarnation of a respawned rank — the property that makes
-        recovery deterministic across respawns.
+        identical whether the run has 2 ranks or 200.
         """
         bad = [k for k in kinds if k not in PROCESS_KINDS]
         if bad:
@@ -286,36 +278,6 @@ class FaultPlan:
 
     def send_fault(self, stage: int, src: int) -> Optional[FaultSpec]:
         return self._fire(("drop_msg", "flip_bits"), stage, src)
-
-    def preburn_rank_lifecycle(self, rank: int, incarnations: int) -> int:
-        """Burn hits a rank's earlier incarnations already consumed.
-
-        A respawned rank process starts with a fresh copy of the plan
-        (hit counters do not survive the old process), yet each prior
-        incarnation of this rank ended by consuming exactly one
-        ``kill_rank``/``stall_rank`` hit.  Burning ``incarnations``
-        hits — earliest armed lifecycle fault first, matching the order
-        :meth:`_fire` consumes them — realigns the fresh plan with the
-        run's history, so a transient kill does not re-kill every
-        respawn while a persistent ``xN`` kill still fires ``N`` times.
-        Returns the number of hits actually burned.
-        """
-        burned = 0
-        with self._lock:
-            remaining = incarnations
-            for i, f in enumerate(self.faults):
-                if remaining <= 0:
-                    break
-                if f.kind not in LIFECYCLE_KINDS:
-                    continue
-                if f.task is not None and f.task != rank:
-                    continue
-                take = min(remaining, f.max_hits - self._hits[i])
-                if take > 0:
-                    self._hits[i] += take
-                    remaining -= take
-                    burned += take
-        return burned
 
     def raise_if_crash(self, group: int, task: int) -> None:
         """Convenience probe: raise :class:`InjectedFault` on a hit."""

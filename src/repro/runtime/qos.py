@@ -119,10 +119,9 @@ class QoSPolicy:
     ``fallback``
         Backend names to degrade to, in order, when the primary
         refuses (:class:`~repro.api.backends.BackendUnsupported`),
-        dies for good (:class:`~repro.runtime.errors.RankLostError`
-        after respawn exhaustion), is refused admission, or blows its
-        deadline.  Every hop is recorded in
-        ``RunStats.degradations``.
+        loses a rank (:class:`~repro.runtime.errors.RankLostError`),
+        is refused admission, or blows its deadline.  Every hop is
+        recorded in ``RunStats.degradations``.
     """
 
     deadline_s: Optional[float] = None

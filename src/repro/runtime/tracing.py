@@ -30,7 +30,7 @@ class TaskTrace:
 
 @dataclass
 class RuntimeEvent:
-    """One runtime event (fault, sanitize, respawn, restore, fallback…).
+    """One runtime event (fault, sanitize, watchdog, fallback…).
 
     Recorded by the distributed simulator (``exchange-fault``,
     ``sanitize``, ``violation``) and the elastic process coordinator
@@ -38,14 +38,13 @@ class RuntimeEvent:
     fault-tolerance overhead sits, next to the per-task compute
     timings.  The elastic coordinator adds: ``heartbeat`` (per-rank
     beacon summary), ``retry`` (worker-reported retransmits),
-    ``respawn``, ``commit``, ``failure`` (a worker gave up on an
-    exchange), ``watchdog`` (liveness verdicts) — and reuses
-    ``restore`` for phase abort + checkpoint restore.  The QoS
-    fallback chain (:mod:`repro.api.fallback`) adds ``fallback``: one
-    event per degradation hop.
+    ``failure`` (a worker gave up on an exchange) and ``watchdog``
+    (liveness verdicts).  The QoS fallback chain
+    (:mod:`repro.api.fallback`) adds ``fallback``: one event per
+    degradation hop.
     """
 
-    kind: str  #: "exchange-fault" | "sanitize" | "violation" | "heartbeat" | "retry" | "respawn" | "commit" | "restore" | "failure" | "watchdog" | "fallback" | "resume"
+    kind: str  #: "exchange-fault" | "sanitize" | "violation" | "heartbeat" | "retry" | "failure" | "watchdog" | "fallback" | "resume"
     group: int
     label: str = ""
     seconds: float = 0.0

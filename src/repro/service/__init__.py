@@ -47,7 +47,6 @@ from repro.service.jobstore import (
     job_identity,
 )
 from repro.service.isolation import (
-    CHECKPOINTABLE,
     ChildConfig,
     JobAssignment,
     worker_child_main,
@@ -73,7 +72,6 @@ __all__ = [
     "STATES",
     "TERMINAL_STATES",
     "LEGAL_TRANSITIONS",
-    "CHECKPOINTABLE",
     "ChildConfig",
     "JobAssignment",
     "worker_child_main",

@@ -62,7 +62,6 @@ from repro.distributed.transport import (
 )
 
 __all__ = [
-    "CHECKPOINTABLE",
     "ChildConfig",
     "JobAssignment",
     "JobPreempted",
@@ -92,7 +91,7 @@ PREEMPTED = "preempted"
 #: the supervisor's endpoint id on a worker channel
 PARENT = COORDINATOR
 
-# -- child exit codes (disjoint from distributed/worker.py's 41-44) ---
+# -- child exit codes (disjoint from distributed/worker.py's 41, 44) --
 
 #: the chaos hook fired (test-only deterministic "segfault")
 EXIT_CHILD_CHAOS = 45
@@ -103,13 +102,6 @@ EXIT_CHILD_OOM = 46
 #: the parent's end of the pipe vanished; an orphan must not keep
 #: computing against a store it can no longer report to
 EXIT_CHILD_ORPHANED = 47
-
-#: backends whose execution mutates the caller's Grid in place, so the
-#: padded ping-pong buffer after a segment is the authoritative state
-#: a later segment (or a recovered supervisor) can resume from.  The
-#: distributed families scatter/gather rank-local slabs instead; jobs
-#: on those backends run as one segment and restart from the journal.
-CHECKPOINTABLE = frozenset(("serial", "compiled", "threaded"))
 
 #: test hook: fork-inherited chaos verdict ("crash" | "segv" | "oom").
 #: The environment variable is the CLI-smoke spelling of the same knob.
@@ -309,19 +301,21 @@ def run_job_segments(
     the job cleanly at that boundary (:class:`JobPreempted` — the
     graceful-drain path: the buffer just shipped is the resume point).
 
-    Returns ``(interior, merged RunStats, resume_step)``; segmenting is
-    bit-identical to an unsegmented run because every scheme is
-    bit-identical to the naive sweep — the property the chaos tests pin.
+    Returns ``(interior, merged RunStats, resume_step)``.  Every
+    backend leaves its final state in the grid's ping-pong pair, so the
+    buffer after a segment is the authoritative state at that step;
+    segmenting is bit-identical to an unsegmented run because every
+    scheme is bit-identical to the naive sweep — the property the chaos
+    tests pin.
     """
     from repro.stencils.grid import Grid
 
     spec = session.spec
     shape = tuple(cfg.shape)
     total = int(cfg.steps)
-    segmented = cfg.backend in CHECKPOINTABLE
 
     resume_step = -1
-    if segmented and resume is not None:
+    if resume is not None:
         step, padded = resume
         grid = grid_from_buffer(spec, shape, padded)
         k = resume_step = int(step)
@@ -329,11 +323,11 @@ def run_job_segments(
         grid = Grid(spec, shape, init="random", seed=cfg.seed)
         k = 0
 
-    step_quota = checkpoint_steps if segmented else 0
     segments = []
     result = None
     while True:
-        n = (total - k) if step_quota <= 0 else min(step_quota, total - k)
+        n = ((total - k) if checkpoint_steps <= 0
+             else min(checkpoint_steps, total - k))
         result = session.run(replace(cfg, steps=n), grid=grid)
         segments.append(result.stats)
         if on_segment is not None:
@@ -481,7 +475,7 @@ def restore_rlimit(token) -> None:
 
 # -- the worker child -------------------------------------------------
 
-def worker_child_main(child_cfg: ChildConfig, conn) -> None:
+def worker_child_main(child_cfg: ChildConfig, conn, parent_ends=()) -> None:
     """Main loop of one sandboxed worker child.
 
     Three threads, one pipe:
@@ -500,7 +494,12 @@ def worker_child_main(child_cfg: ChildConfig, conn) -> None:
     A child that loses its pipe exits ``EXIT_CHILD_ORPHANED``: an
     orphan must never keep computing against a store it cannot report
     to (its lease epoch is fenced anyway — this just saves the CPU).
+    ``parent_ends`` are the parent's pipe ends the fork inherited (this
+    child's and its siblings'); they are closed first, or a dead parent
+    would never reach the listener as end-of-file.
     """
+    for end in parent_ends:
+        end.close()
     # the parent may have custom SIGTERM/SIGINT handlers (the serve
     # loop's drain trigger) which a fork-spawned child inherits; reset
     # them or Process.terminate() would flip the parent's stop event
@@ -530,6 +529,9 @@ def worker_child_main(child_cfg: ChildConfig, conn) -> None:
             except ChannelClosed:
                 closed.set()
                 inbox.put(None)
+                token = state.get("token")
+                if token is not None:
+                    token.cancel()  # stop the orphaned job's compute
                 return
             if msg is None:  # pragma: no cover - recv(None) blocks
                 continue

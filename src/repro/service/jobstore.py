@@ -193,6 +193,10 @@ def job_identity(kernel: str, config: Dict[str, Any]):
     bit-identically — whatever spelling their backend/engine aliases
     used — collapse onto one job.  The byte estimate reuses the QoS
     admission model (:func:`repro.runtime.qos.estimate_peak_bytes`).
+
+    A config with ``batch > 1`` is refused (``ValueError``): a job seals
+    one interior, and the service's only batching is coalescing seed
+    siblings (``SupervisorConfig.max_batch``).
     """
     import hashlib
 
@@ -204,6 +208,11 @@ def job_identity(kernel: str, config: Dict[str, Any]):
 
     spec = get_stencil(kernel)
     cfg = RunConfig.from_json(config).normalized()
+    if cfg.batch > 1:
+        raise ValueError(
+            f"a job runs one instance, got batch={cfg.batch}; submit one "
+            f"job per seed (the supervisor coalesces seed siblings into "
+            f"one batched run)")
     shape = cfg.shape or tuple(ScheduleBuilder().default_shape(spec))
     canon = json.dumps(cfg.to_json(), sort_keys=True,
                        separators=(",", ":"))

@@ -24,9 +24,10 @@ worker slots.  Each worker:
    silence, and surfaces as a typed
    :class:`~repro.runtime.errors.WorkerCrashed` (exit 12) instead of
    taking the server down;
-4. for checkpointable (local) backends, runs the job in *segments* of
-   ``checkpoint_steps`` steps, sealing the padded ping-pong buffer
-   into the store after each segment.  Schedules are deterministic
+4. runs every job in *segments* of ``checkpoint_steps`` steps,
+   sealing the padded ping-pong buffer into the store after each
+   segment (every backend, the distributed ones included, leaves its
+   final state in that buffer).  Schedules are deterministic
    replay, and every scheme is bit-identical to the naive sweep, so a
    run resumed from the buffer at step *k* finishes bit-identical to
    an uninterrupted run — the property the SIGKILL chaos tests pin;
@@ -51,11 +52,11 @@ waits up to a deadline for them to finish, asks the stragglers to stop
 at their next checkpoint boundary (they requeue, journaled, and the
 next start picks them up), and reports whether the shutdown was clean.
 
-Cleanup discipline: the supervisor registers an ``atexit`` hook (the
-elastic coordinator's pattern) so even an un-stopped supervisor sweeps
-its lease files, worker children and half-written temp files; a
-SIGKILL cannot run it, which is exactly what the startup recovery scan
-is for.
+Cleanup discipline: the supervisor registers an ``atexit`` hook so
+even an un-stopped supervisor sweeps its lease files, worker children
+and half-written temp files; a SIGKILL cannot run it, which is exactly
+what the startup recovery scan is for (and an orphaned worker child
+sees its pipe close and exits).
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ from repro.runtime.errors import (
 from repro.service.isolation import (
     CANCEL,
     CHECKPOINT,
-    CHECKPOINTABLE,
     EXIT_CHILD_OOM,
     JOB,
     PARENT,
@@ -122,9 +122,9 @@ __all__ = ["Supervisor", "SupervisorConfig", "coalesce_key"]
 ISOLATION_MODES = ("thread", "process")
 
 #: backends whose jobs may be coalesced into one stacked batched run:
-#: checkpointable and proven bit-identical to the batched lowering by
-#: the parity matrix.  A job already carrying a
-#: checkpoint resumes solo (members of a batch must share step 0).
+#: proven bit-identical to the batched lowering by the parity matrix.
+#: A job already carrying a checkpoint resumes solo (members of a batch
+#: must share step 0).
 COALESCE_BACKENDS = frozenset(("serial", "compiled"))
 
 
@@ -171,8 +171,8 @@ class SupervisorConfig:
     lease_ttl_s: float = 30.0
     #: keeper-thread heartbeat period (lease renewal cadence)
     lease_renew_s: float = 2.0
-    #: checkpoint every N steps on checkpointable backends (0 = only
-    #: run whole; recovery then restarts from the journal)
+    #: checkpoint every N steps (0 = only run whole; recovery then
+    #: restarts from the journal)
     checkpoint_steps: int = 0
     #: default per-job retry budget for transient failures
     default_max_retries: int = 2
@@ -425,7 +425,9 @@ class Supervisor:
         (:class:`~repro.runtime.errors.QueueSaturated`) leaves no
         record.  A deduplicated resubmission returns the existing job
         without touching the queue.  A draining supervisor refuses
-        everything (:class:`~repro.runtime.errors.ServiceDraining`).
+        everything (:class:`~repro.runtime.errors.ServiceDraining`), and
+        a config with ``batch > 1`` is a permanent usage error
+        (``ValueError``, HTTP 400) before any journal write.
         """
         from repro.service.jobstore import job_identity
 
@@ -659,9 +661,7 @@ class Supervisor:
         """Execute one leased job in-thread, in checkpointed segments."""
         session = self._session(job.kernel)
         cfg = prepare_run_config(session, job.config, token)
-        resume = None
-        if cfg.backend in CHECKPOINTABLE:
-            resume = self.store.load_checkpoint(job.job_id)
+        resume = self.store.load_checkpoint(job.job_id)
         resume_step = int(resume[0]) if resume is not None else -1
         self.store.transition(
             job.job_id, RUNNING,
@@ -893,9 +893,15 @@ class Supervisor:
         child_cfg = ChildConfig(
             worker=wid, heartbeat_s=self.config.worker_heartbeat_s,
             incarnation=incarnation)
+        with self._children_lock:
+            parent_ends = [parent_conn] + [
+                c.chan.conn for c in self._children.values()]
+        # not daemonic: a daemonic process may not start children, and
+        # an elastic job's coordinator spawns its rank processes inside
+        # the child.  _retire_child and the atexit hook reap it instead.
         proc = ctx.Process(target=worker_child_main,
-                           args=(child_cfg, child_conn),
-                           name=f"repro-svc-child-{wid}", daemon=True)
+                           args=(child_cfg, child_conn, parent_ends),
+                           name=f"repro-svc-child-{wid}", daemon=False)
         proc.start()
         child_conn.close()
         child = _Child(proc=proc, chan=Channel(parent_conn),
@@ -989,9 +995,7 @@ class Supervisor:
         from repro.api.config import RunConfig
 
         cfg = RunConfig.from_json(job.config).normalized()
-        resume = None
-        if cfg.backend in CHECKPOINTABLE:
-            resume = self.store.load_checkpoint(job.job_id)
+        resume = self.store.load_checkpoint(job.job_id)
         resume_step = int(resume[0]) if resume is not None else -1
 
         child = self._ensure_child(wid)

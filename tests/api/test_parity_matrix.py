@@ -3,7 +3,7 @@
 Each supported cell must reproduce the naive reference sweep
 *bit-identically* (``np.array_equal``, not allclose: every executor
 performs the same per-point arithmetic, only the traversal order
-differs).  Each unsupported cell must refuse with a typed
+differs) and leave that final state in its grid.  Each unsupported cell must refuse with a typed
 :class:`BackendUnsupported` carrying the backend name and a reason —
 never a silent wrong answer, never an untyped crash.
 
@@ -108,6 +108,11 @@ def test_cell(backend, scheme, steps, references):
             f"{backend} x {scheme} (steps={steps}) diverged from the "
             f"reference sweep"
         )
+        # every backend leaves its final state in the grid's ping-pong
+        # pair: that buffer is what the job service seals as a segment
+        # checkpoint and resumes from
+        assert (result.grid.interior(steps).tobytes()
+                == result.interior.tobytes())
         assert result.stats.backend == backend
         assert result.stats.scheme == scheme
         assert result.stats.steps == steps

@@ -288,10 +288,10 @@ def test_fallback_restores_caller_grid_between_hops(monkeypatch):
 @pytest.mark.dist
 @pytest.mark.faults
 def test_chaos_kill_rank_exhaustion_falls_back_to_threaded():
-    """Satellite acceptance: a kill_rank fault with a zero respawn
-    budget loses the rank for good (RankLostError); the chain re-runs
-    on 'threaded' and completes bit-identically to the naive oracle
-    with exactly one recorded hop."""
+    """A kill_rank fault loses the rank (RankLostError: the elastic
+    runtime does not respawn); the chain re-runs on 'threaded' and
+    completes bit-identically to the naive oracle with exactly one
+    recorded hop."""
     from repro.distributed import ElasticConfig
     from repro.runtime.faults import FaultPlan, FaultSpec
 
@@ -302,7 +302,7 @@ def test_chaos_kill_rank_exhaustion_falls_back_to_threaded():
         shape=shape, steps=steps, scheme="tess", b=B,
         backend="elastic", ranks=4, threads=2,
         fault_plan=FaultPlan([FaultSpec("kill_rank", group=3, task=1)]),
-        elastic=ElasticConfig(max_respawns=0, stall_timeout_s=0.6,
+        elastic=ElasticConfig(stall_timeout_s=0.6,
                               heartbeat_timeout_s=1.5, deadline_s=60.0),
         qos=QoSPolicy(fallback=("threaded",)))
     result = run(spec, config)

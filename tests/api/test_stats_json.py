@@ -154,6 +154,21 @@ def test_runconfig_from_json_drops_retired_max_phase_restarts():
         RunConfig.from_json({"resilience": None})  # not a wire key
 
 
+def test_runstats_from_json_drops_retired_comm_counters():
+    """Stats sealed before the elastic runtime's in-run rank respawn and
+    phase replay were removed carry ``comm.respawns`` and
+    ``comm.phase_restarts``; they must still load."""
+    from repro.distributed.exec import CommStats
+
+    data = RunStats(backend="elastic", steps=4,
+                    comm=CommStats(messages=3, heartbeats=7)).to_json()
+    data["comm"].update(respawns=1, phase_restarts=2)
+    clone = RunStats.from_json(json.loads(_dumps(data)))
+    assert clone.comm.messages == 3 and clone.comm.heartbeats == 7
+    assert not hasattr(clone.comm, "respawns")
+    assert not hasattr(clone.comm, "phase_restarts")
+
+
 def test_runstats_from_json_ignores_old_resilience_block():
     """Results sealed by the removed ``resilient`` backend carry a
     ``resilience`` block; the stats still load."""

@@ -1,30 +1,31 @@
-"""Elastic process runtime: recovery to bit-identical results.
+"""Elastic process runtime: healed message faults, detected rank loss.
 
-The tentpole acceptance properties:
+The acceptance properties:
 
 * the fault-free process runtime matches both the in-process simulator
   and the naive reference **exactly** (bit-identical);
-* every process-level fault kind — ``kill_rank``, ``stall_rank``,
-  ``drop_msg``, ``flip_bits`` — injected mid-run on runs with >= 2
-  ranks is healed back to the bit-identical result (respawn + phase
-  replay for kills, straggler cull + replay for stalls, retransmit for
-  transient message loss/corruption), including a seeded chaos sweep
-  mixing all kinds across 8 seeds;
-* exhausted budgets surface as *typed* errors — ``RankLostError``,
-  ``ExchangeTimeoutError``, ``ChecksumMismatchError`` — instead of
-  hangs;
-* checkpoint spill files live in a per-run temp directory that is gone
-  after success and after a coordinator abort.
+* message-level faults — ``drop_msg``, ``flip_bits`` — injected mid-run
+  are healed in-run by CRC-checked retransmits, bit-identically;
+* a lost rank — ``kill_rank``, ``stall_rank`` — and exhausted exchange
+  budgets surface at once as *typed* errors (``RankLostError``,
+  ``ExchangeTimeoutError``, ``ChecksumMismatchError``) instead of
+  hangs, with no rank process outliving the run;
+* recovery is the job service's: a seeded chaos sweep mixing all four
+  kinds across 8 seeds ends bit-identical after the service retries a
+  failed attempt from its newest segment checkpoint.
 """
 
-import glob
+import multiprocessing
 import os
-import tempfile
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from repro import Grid, get_stencil, make_lattice, reference_sweep
+from repro.api import RunConfig, Session
 from repro.distributed import (
     ElasticConfig,
     RetryPolicy,
@@ -40,10 +41,12 @@ from repro.runtime import (
     RankLostError,
 )
 from repro.runtime.tracing import ExecutionTrace
+from repro.service import DONE, JobStore, Supervisor, SupervisorConfig
+from tests._proc import alive
 
 pytestmark = [pytest.mark.dist, pytest.mark.faults]
 
-#: watchdog timings tightened so recovery tests converge in seconds
+#: watchdog timings tightened so fault tests converge in seconds
 FAST = dict(stall_timeout_s=0.6, heartbeat_timeout_s=1.5, deadline_s=60.0)
 
 
@@ -59,6 +62,35 @@ def _stages_total(spec, shape, steps, b, ranks):
     lat = make_lattice(spec, shape, b)
     plan, _ = build_ownership(lat, SlabPartition(shape, ranks))
     return ((steps + b - 1) // b) * len(plan.stages)
+
+
+def _live_ranks():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-rank")]
+
+
+#: a coordinator whose rank 1 stalls for a minute; it prints its rank
+#: pids once they are up, then waits for the straggler verdict
+_STALLED_RUN = """\
+import multiprocessing, threading, time
+from repro import Grid, get_stencil, make_lattice
+from repro.distributed import ElasticConfig
+from repro.distributed.elastic import _execute_elastic
+from repro.runtime import FaultPlan, FaultSpec
+
+def report():
+    while len(multiprocessing.active_children()) < 3:
+        time.sleep(0.01)
+    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+
+threading.Thread(target=report, daemon=True).start()
+spec = get_stencil("heat1d")
+_execute_elastic(
+    spec, Grid(spec, (400,), seed=0), make_lattice(spec, (400,), 4), 16, 3,
+    fault_plan=FaultPlan([FaultSpec("stall_rank", group=2, task=1,
+                                    stall_s=60.0)]),
+    config=ElasticConfig(stall_timeout_s=60, heartbeat_timeout_s=60))
+"""
 
 
 class TestFaultFree:
@@ -92,18 +124,14 @@ class TestFaultFree:
 
 
 class TestSingleFaultRecovery:
-    """One injected fault of each kind, mid-run, >= 2 ranks affected."""
+    """One message fault of each kind, mid-run, healed by retransmit."""
 
     @pytest.mark.parametrize("fault,expect", [
-        (FaultSpec("kill_rank", group=3, task=1),
-         dict(respawns=1, phase_restarts=1)),
-        (FaultSpec("stall_rank", group=2, task=2, stall_s=30.0),
-         dict(phase_restarts=1)),
         (FaultSpec("drop_msg", group=1, task=1),
          dict(drops=1, retries=1)),
         (FaultSpec("flip_bits", group=2, task=0),
          dict(checksum_failures=1, retries=1)),
-    ], ids=["kill_rank", "stall_rank", "drop_msg", "flip_bits"])
+    ], ids=["drop_msg", "flip_bits"])
     def test_bit_identical_recovery(self, fault, expect):
         spec, lat, grid, base = _setup()
         trace = ExecutionTrace(scheme="elastic")
@@ -116,61 +144,92 @@ class TestSingleFaultRecovery:
         for key, floor in expect.items():
             assert getattr(stats, key) >= floor, (key, stats)
         counts = trace.event_counts()
-        assert counts.get("commit", 0) >= 4
         assert counts.get("heartbeat", 0) == 4  # one summary per rank
-        if "respawns" in expect:
-            assert counts.get("respawn", 0) >= 1
-            assert counts.get("restore", 0) >= 1
+        assert counts.get("retry", 0) >= 1
 
-    def test_kill_two_ranks_same_run(self):
-        spec, lat, grid, base = _setup()
-        plan = FaultPlan([FaultSpec("kill_rank", group=2, task=0),
-                          FaultSpec("kill_rank", group=5, task=3)])
-        out, stats = _execute_elastic(spec, grid.copy(), lat, 16, 4,
-                                     fault_plan=plan,
-                                     config=ElasticConfig(**FAST))
-        assert np.array_equal(base, out)
-        assert stats.respawns >= 2
 
-    def test_persistent_kill_fires_across_respawns(self):
-        """xN kills re-fire N times before the rank stays up."""
-        spec, lat, grid, base = _setup()
-        plan = FaultPlan([FaultSpec("kill_rank", group=3, task=1,
-                                    max_hits=2)])
-        out, stats = _execute_elastic(
-            spec, grid.copy(), lat, 16, 4, fault_plan=plan,
-            config=ElasticConfig(max_respawns=3, max_phase_restarts=6,
-                                 **FAST))
-        assert np.array_equal(base, out)
-        assert stats.respawns >= 2
+class _ChaosSession(Session):
+    """Runs each segment of a job under a fresh seeded chaos plan until
+    the first attempt fails; the retry then runs clean (the faults were
+    transient)."""
+
+    def __init__(self, spec, seed, stages, ranks):
+        super().__init__(spec)
+        self.seed, self.stages, self.ranks = seed, stages, ranks
+        self.segments = 0
+        self.failed = None
+        self.failed_segment = -1
+
+    def run(self, config=None, **overrides):
+        overrides["elastic"] = ElasticConfig(**FAST)
+        if self.failed is None:
+            overrides["fault_plan"] = _chaos_plan(
+                self.seed, self.segments, self.stages, self.ranks)
+        self.segments += 1
+        try:
+            return super().run(config, **overrides)
+        except Exception as exc:
+            if self.failed is None:
+                self.failed, self.failed_segment = exc, self.segments - 1
+            raise
+
+
+def _chaos_plan(seed, segment, stages, ranks):
+    return FaultPlan.random_process(stages, ranks, rate=0.25,
+                                    seed=100 * seed + segment, stall_s=30.0)
 
 
 class TestChaosSweep:
-    """Seeded chaos: all four kinds mixed, 8 seeds, bit-identical."""
+    """Seeded chaos in every segment of a service job, all four kinds
+    mixed, 8 seeds: the result is bit-identical either way."""
+
+    SHAPE, STEPS, B, RANKS, SEGMENT = (240,), 12, 4, 3, 4
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_process_faults_recover(self, seed):
-        spec, lat, grid, base = _setup("heat1d", (240,), 12, 4, 3)
-        stages = _stages_total(spec, (240,), 12, 4, 3)
-        plan = FaultPlan.random_process(stages, 3, rate=0.25, seed=seed,
-                                        stall_s=30.0)
-        out, stats = _execute_elastic(
-            spec, grid.copy(), lat, 12, 3, fault_plan=plan,
-            config=ElasticConfig(max_phase_restarts=8, max_respawns=4,
-                                 **FAST),
-        )
-        assert np.array_equal(base, out), (
-            f"seed {seed} ({plan.describe()}) diverged"
-        )
+    def test_random_process_faults_recover(self, seed, tmp_path):
+        """Message faults heal in-run; a lost rank fails the attempt and
+        the service resumes the job from its newest checkpoint."""
+        spec = get_stencil("heat1d")
+        stages = _stages_total(spec, self.SHAPE, self.SEGMENT, self.B,
+                               self.RANKS)
+        cfg = {"shape": list(self.SHAPE), "steps": self.STEPS,
+               "b": self.B, "backend": "elastic", "ranks": self.RANKS}
+        session = _ChaosSession(spec, seed, stages, self.RANKS)
+        with JobStore(str(tmp_path / "store"), fsync=False) as store:
+            sup = Supervisor(store, SupervisorConfig(
+                workers=1, isolation="thread",
+                checkpoint_steps=self.SEGMENT, retry_backoff_s=0.001))
+            sup._sessions["heat1d"] = session
+            sup.start()
+            try:
+                job, _ = sup.submit("heat1d", cfg)
+                job = sup.wait(job.job_id, timeout=120)
+            finally:
+                sup.stop()
+            interior, _ = store.load_result(job.job_id)
+        direct = Session(spec).run(
+            RunConfig.from_json(dict(cfg, backend="serial"))).interior
+        assert job.state == DONE, job.error
+        assert interior.tobytes() == direct.tobytes(), (
+            f"seed {seed} diverged")
+        if session.failed is None:
+            assert job.attempts == 1
+        else:
+            assert isinstance(session.failed, RankLostError)
+            assert job.attempts == 2
+            sealed = self.SEGMENT * session.failed_segment
+            assert job.resumed_from_step == (sealed if sealed else -1)
+        assert not _live_ranks()
 
     def test_sweep_actually_injects_every_kind(self):
         """Guard against a sweep that silently tests nothing."""
-        stages = _stages_total(get_stencil("heat1d"), (240,), 12, 4, 3)
+        stages = _stages_total(get_stencil("heat1d"), self.SHAPE,
+                               self.SEGMENT, self.B, self.RANKS)
         kinds = set()
         for seed in range(8):
-            plan = FaultPlan.random_process(stages, 3, rate=0.25,
-                                            seed=seed)
-            kinds.update(f.kind for f in plan.faults)
+            for segment in range(self.STEPS // self.SEGMENT):
+                plan = _chaos_plan(seed, segment, stages, self.RANKS)
+                kinds.update(f.kind for f in plan.faults)
         assert kinds == {"kill_rank", "stall_rank", "drop_msg",
                          "flip_bits"}
 
@@ -184,16 +243,42 @@ class TestChaosSweep:
 
 
 class TestStructuredFailures:
-    """Exhausted budgets end in typed errors, never hangs."""
+    """Lost ranks and exhausted budgets end in typed errors, never hangs."""
 
-    def test_respawn_budget_exhausted_raises_rank_lost(self):
+    @pytest.mark.parametrize("fault,cause", [
+        (FaultSpec("kill_rank", group=3, task=1), "dead"),
+        (FaultSpec("stall_rank", group=2, task=1, stall_s=30.0),
+         "straggler"),
+    ], ids=["kill_rank", "stall_rank"])
+    def test_lost_rank_raises_rank_lost(self, fault, cause):
         spec, lat, grid, _ = _setup()
-        plan = FaultPlan([FaultSpec("kill_rank", group=3, task=1)])
         with pytest.raises(RankLostError) as ei:
             _execute_elastic(spec, grid.copy(), lat, 16, 4,
-                            fault_plan=plan,
-                            config=ElasticConfig(max_respawns=0, **FAST))
-        assert ei.value.rank == 1 and ei.value.cause == "dead"
+                             fault_plan=FaultPlan([fault]),
+                             config=ElasticConfig(**FAST))
+        assert ei.value.rank == 1 and ei.value.cause == cause
+        assert not _live_ranks()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="process liveness is read from /proc")
+    def test_ranks_exit_when_the_coordinator_dies(self):
+        """A SIGKILLed coordinator runs no shutdown; its ranks, the
+        stalled one included, see their pipe close and exit."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _STALLED_RUN], stdout=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+        try:
+            ranks = [int(p) for p in proc.stdout.readline().split()]
+            assert len(ranks) == 3
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        deadline = time.monotonic() + 10
+        while any(map(alive, ranks)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [r for r in ranks if alive(r)]
 
     def test_persistent_drop_raises_exchange_timeout(self):
         spec, lat, grid, _ = _setup()
@@ -201,9 +286,7 @@ class TestStructuredFailures:
                                     max_hits=10 ** 6)])
         with pytest.raises(ExchangeTimeoutError) as ei:
             _execute_elastic(spec, grid.copy(), lat, 16, 4,
-                            fault_plan=plan,
-                            config=ElasticConfig(max_phase_restarts=0,
-                                                 **FAST))
+                             fault_plan=plan, config=ElasticConfig(**FAST))
         assert ei.value.stage == 1 and ei.value.src == 1
 
     def test_persistent_corruption_raises_checksum_mismatch(self):
@@ -212,52 +295,8 @@ class TestStructuredFailures:
                                     max_hits=10 ** 6)])
         with pytest.raises(ChecksumMismatchError) as ei:
             _execute_elastic(spec, grid.copy(), lat, 16, 4,
-                            fault_plan=plan,
-                            config=ElasticConfig(max_phase_restarts=0,
-                                                 **FAST))
+                             fault_plan=plan, config=ElasticConfig(**FAST))
         assert ei.value.stage == 1 and ei.value.src == 1
-
-
-class TestSpillFileLifecycle:
-    """Per-run temp dir: gone on success AND on coordinator abort."""
-
-    def _leftovers(self, parent):
-        return (glob.glob(os.path.join(parent, "repro-elastic-*"))
-                + glob.glob(os.path.join(parent, "**", "*.npz"),
-                            recursive=True))
-
-    def test_no_leak_on_success(self, tmp_path):
-        spec, lat, grid, base = _setup()
-        cfg = ElasticConfig(checkpoint_dir=str(tmp_path), **FAST)
-        out, _ = _execute_elastic(
-            spec, grid.copy(), lat, 16, 4,
-            fault_plan=FaultPlan([FaultSpec("kill_rank", group=3,
-                                            task=1)]),
-            config=cfg)
-        assert np.array_equal(base, out)
-        assert self._leftovers(str(tmp_path)) == []
-
-    def test_no_leak_on_coordinator_abort(self, tmp_path):
-        spec, lat, grid, _ = _setup()
-        cfg = ElasticConfig(checkpoint_dir=str(tmp_path), max_respawns=0,
-                            **FAST)
-        with pytest.raises(RankLostError):
-            _execute_elastic(
-                spec, grid.copy(), lat, 16, 4,
-                fault_plan=FaultPlan([FaultSpec("kill_rank", group=3,
-                                                task=1)]),
-                config=cfg)
-        assert self._leftovers(str(tmp_path)) == []
-
-    def test_default_dir_is_system_tmp_and_cleaned(self):
-        spec, lat, grid, _ = _setup()
-        before = set(glob.glob(os.path.join(tempfile.gettempdir(),
-                                            "repro-elastic-*")))
-        _execute_elastic(spec, grid.copy(), lat, 8, 2,
-                        config=ElasticConfig(**FAST))
-        after = set(glob.glob(os.path.join(tempfile.gettempdir(),
-                                           "repro-elastic-*")))
-        assert after <= before
 
 
 class TestStatsAndTraceSchema:
@@ -267,10 +306,10 @@ class TestStatsAndTraceSchema:
         spec, lat, grid, _ = _setup()
         _, sim = _execute_distributed(spec, grid.copy(), lat, 8, 2)
         _, ela = _execute_elastic(spec, grid.copy(), lat, 8, 2,
-                                 config=ElasticConfig(**FAST))
+                                  config=ElasticConfig(**FAST))
         assert set(vars(sim)) == set(vars(ela))
         assert "retries" in ela.describe_resilience()
-        assert "respawns" in sim.describe_resilience()
+        assert "heartbeats" in sim.describe_resilience()
 
     def test_retry_and_crc_counters_reach_the_report(self):
         spec, lat, grid, _ = _setup()
@@ -301,4 +340,4 @@ class TestStatsAndTraceSchema:
         spec, lat, grid, _ = _setup()
         with pytest.raises(SanitizerViolation):
             _execute_elastic(spec, grid.copy(), lat, 8, 4,
-                            ghost_override=1, sanitize=True)
+                             ghost_override=1, sanitize=True)

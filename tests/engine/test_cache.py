@@ -408,6 +408,6 @@ def test_distributed_ranks_compile_once():
     out, stats = _execute_elastic(spec, grid.copy(), lat, steps, ranks)
     from repro import reference_sweep
     assert np.array_equal(reference_sweep(spec, grid.copy(), steps), out)
-    # one compile per rank incarnation, never one per phase
+    # one compile per rank process, never one per phase
     assert stats.plan_compiles == ranks
     assert (steps + b - 1) // b > 1  # multiple phases actually ran

@@ -154,3 +154,5 @@ def test_malformed_submission_is_400(served):
         submit_job(url, "", CFG)
     with pytest.raises(ValueError):  # unknown RunConfig field
         submit_job(url, "heat1d", {"no_such_knob": 1})
+    with pytest.raises(ValueError, match="batch=3"):  # one instance a job
+        submit_job(url, "heat1d", dict(CFG, backend="batched", batch=3))

@@ -36,6 +36,7 @@ from repro.service import (
     SupervisorConfig,
 )
 from repro.service import isolation
+from tests._proc import live_children
 
 pytestmark = pytest.mark.service
 
@@ -88,6 +89,31 @@ def test_process_mode_runs_bit_identical(store):
     np.testing.assert_array_equal(interior, _direct())
     assert stats["steps"] == CFG["steps"]
     # children were shut down and reaped
+    assert not sup._children and not multiprocessing.active_children()
+
+
+def test_process_mode_runs_elastic_job(store):
+    """An elastic job's coordinator spawns its rank processes inside the
+    worker child, so the child must be allowed children; none of them
+    outlives the run."""
+    cfg = {"shape": [240], "steps": 12, "b": 4, "backend": "elastic",
+           "ranks": 2}
+    sup = _process_sup(store, checkpoint_steps=4)
+    sup.start()
+    try:
+        job, _ = sup.submit("heat1d", cfg)
+        job = sup.wait(job.job_id, timeout=120)
+        child = sup._children.get(0)
+        ranks_left = live_children(child.proc.pid)
+    finally:
+        sup.stop()
+    assert job.state == DONE and job.attempts == 1, job.error
+    assert [c[0] for c in job.checkpoints] == [4, 8]
+    interior, _ = store.load_result(job.job_id)
+    direct = Session(get_stencil("heat1d")).run(
+        RunConfig.from_json(dict(cfg, backend="serial"))).interior
+    assert interior.tobytes() == direct.tobytes()
+    assert ranks_left == []
     assert not sup._children and not multiprocessing.active_children()
 
 

@@ -21,6 +21,7 @@ import pytest
 from repro import get_stencil
 from repro.api import RunConfig, Session
 from repro.service import DONE, JobStore, Supervisor, SupervisorConfig
+from tests._proc import alive, live_children
 
 pytestmark = pytest.mark.service
 
@@ -75,6 +76,8 @@ def test_sigkill_recovery_resumes_bit_identical(tmp_path):
         else:
             pytest.fail("no checkpoint appeared before the deadline")
         time.sleep(0.1)  # let a few more segments seal
+        # worker children under process isolation (none in thread mode)
+        orphans = live_children(proc.pid)
         proc.kill()  # SIGKILL: no atexit, no cleanup, no goodbye
         proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL
@@ -83,6 +86,14 @@ def test_sigkill_recovery_resumes_bit_identical(tmp_path):
             proc.kill()
         proc.stdout.close()
         proc.stderr.close()
+
+    # an orphaned worker child sees its pipe close and exits instead
+    # of computing on against a store it can no longer report to
+    deadline = time.monotonic() + 30
+    while orphans and time.monotonic() < deadline:
+        orphans = [k for k in orphans if alive(k)]
+        time.sleep(0.05)
+    assert not orphans
 
     # restart over the same directory: recovery re-queues, the worker
     # resumes from the newest sealed checkpoint

@@ -9,6 +9,7 @@ import pytest
 
 from repro import get_stencil
 from repro.api import RunConfig, Session
+from repro.api.backends import backend_names
 from repro.runtime.errors import ExecutionError, QueueSaturated, RunCancelled
 from repro.service import (
     CANCELLED,
@@ -218,27 +219,33 @@ def test_cancel_running_job_stops_at_boundary(store):
     assert sup.metrics.cancelled == 1
 
 
-#: one config per checkpointable backend (service.isolation.CHECKPOINTABLE)
-_CHECKPOINTABLE_CFGS = {
+#: one job config per registered backend; every backend leaves its
+#: final state in the grid, so every backend runs in sealed segments
+_RESUME_CFGS = {
     "serial": {},
     "compiled": {"backend": "compiled", "engine": "compiled"},
+    "batched": {"backend": "batched"},
     "threaded": {"backend": "threaded", "threads": 2},
+    "distributed": {"backend": "distributed", "ranks": 2},
+    "elastic": {"backend": "elastic", "ranks": 2},
+    "baseline:pointwise": {"backend": "baseline:pointwise"},
+    "baseline:blocked": {"backend": "baseline:blocked"},
+    "baseline:merged": {"backend": "baseline:merged"},
+    "baseline:overlapped": {"backend": "baseline:overlapped",
+                            "scheme": "overlapped"},
 }
 
 
 @THREAD_ONLY
 @pytest.mark.parametrize("fail_call", [1, 3, 5],
                          ids=["first", "middle", "last"])
-@pytest.mark.parametrize("backend", sorted(_CHECKPOINTABLE_CFGS))
+@pytest.mark.parametrize("backend", backend_names())
 def test_in_process_resume_after_mid_run_failure(store, backend,
                                                  fail_call):
     """A job that dies in its first, a middle or its last segment is
     retried from its last sealed checkpoint (from step 0 when none was
-    sealed yet), bit-identical to an unbroken run, on every
-    checkpointable backend.  This is the one local recovery path."""
-    from repro.service.isolation import CHECKPOINTABLE
-
-    assert set(_CHECKPOINTABLE_CFGS) == CHECKPOINTABLE
+    sealed yet), bit-identical to an unbroken run, on every registered
+    backend.  This is the one recovery path."""
 
     class _DieOnce(_Gate):
         def run(self, config=None, **kw):
@@ -247,7 +254,7 @@ def test_in_process_resume_after_mid_run_failure(store, backend,
                 raise ExecutionError("executor died mid-job")
             return self._session.run(config, **kw)
 
-    cfg = dict(CFG, **_CHECKPOINTABLE_CFGS[backend])
+    cfg = dict(CFG, **_RESUME_CFGS[backend])
     sup = Supervisor(store, SupervisorConfig(
         workers=1, checkpoint_steps=5, retry_backoff_s=0.001))
     sup._sessions["heat1d"] = _DieOnce(Session(get_stencil("heat1d")))
@@ -259,17 +266,62 @@ def test_in_process_resume_after_mid_run_failure(store, backend,
     finally:
         sup.stop()
     sealed = 5 * (fail_call - 1)  # 0: died before the first seal
-    assert job.state == DONE
+    assert job.state == DONE, job.error
     assert job.attempts == 2
     assert job.resumed_from_step == (sealed if sealed else -1)
     assert sup.metrics.resumes == (1 if sealed else 0)
     interior, stats = store.load_result(job.job_id)
-    direct = _direct(**_CHECKPOINTABLE_CFGS[backend])
+    direct = _direct(**_RESUME_CFGS[backend])
     assert interior.dtype == direct.dtype
     assert interior.tobytes() == direct.tobytes()
     # a resumption is visible in the result's trace events
     resumed = any(e.get("kind") == "resume" for e in stats["events"])
     assert resumed == bool(sealed)
+
+
+@THREAD_ONLY
+def test_elastic_rank_loss_retried_from_checkpoint(store):
+    """A real kill_rank in the first segment of an elastic job ends
+    that attempt with RankLostError, a transient verdict; the retry
+    finishes the job byte-equal to a direct run."""
+    from repro.distributed import ElasticConfig
+    from repro.runtime.faults import FaultPlan, FaultSpec
+
+    class _KillOnce(_Gate):
+        def run(self, config=None, **kw):
+            self.calls += 1
+            kw["elastic"] = ElasticConfig(stall_timeout_s=0.6,
+                                          heartbeat_timeout_s=1.5)
+            if self.calls == 1:
+                kw["fault_plan"] = FaultPlan(
+                    [FaultSpec("kill_rank", group=1, task=1)])
+            return self._session.run(config, **kw)
+
+    cfg = dict(CFG, **_RESUME_CFGS["elastic"])
+    sup = Supervisor(store, SupervisorConfig(
+        workers=1, checkpoint_steps=5, retry_backoff_s=0.001))
+    sup._sessions["heat1d"] = _KillOnce(Session(get_stencil("heat1d")))
+    sup.start()
+    try:
+        job, _ = sup.submit("heat1d", cfg)
+        job = sup.wait(job.job_id, timeout=60)
+    finally:
+        sup.stop()
+    assert job.state == DONE, job.error
+    assert job.attempts == 2
+    assert sup.metrics.retries == 1
+    interior, _ = store.load_result(job.job_id)
+    assert interior.tobytes() == _direct(**_RESUME_CFGS["elastic"]).tobytes()
+
+
+def test_batch_above_one_refused_before_journal(store):
+    """A job seals one interior, so ``batch > 1`` is a permanent usage
+    error, refused before any journal write; seed siblings coalesce
+    instead (``max_batch``)."""
+    sup = Supervisor(store, SupervisorConfig(workers=1))
+    with pytest.raises(ValueError, match="batch=3"):
+        sup.submit("heat1d", dict(CFG, backend="batched", batch=3))
+    assert store.jobs() == []
 
 
 @THREAD_ONLY

@@ -90,8 +90,7 @@ class TestCliResilience:
         assert rc == 2
         assert "bad fault spec" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--check-divergence",
-                                      "--resilient"])
+    @pytest.mark.parametrize("flag", ["--check-divergence"])
     def test_dist_dropped_exchange_detected_exits_4(self, flag, capsys):
         rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
                    "-b", "4", "--ranks", "4", flag,
@@ -108,6 +107,22 @@ class TestCliResilience:
             main(["run", "heat1d", *flag])
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--resilient"], ["--fail-fast"],
+                                      ["--max-respawns", "1"]])
+    def test_removed_dist_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["dist", "heat1d", "--procs", "2", *flag])
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.dist
+    @pytest.mark.parametrize("fault", ["kill_rank@3/1", "stall_rank@2/1"])
+    def test_dist_lost_rank_exits_6(self, fault, capsys):
+        rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
+                   "-b", "4", "--procs", "4", "--inject", fault])
+        assert rc == 6
+        assert "rank 1 lost" in capsys.readouterr().err
 
     def test_dist_undersized_ghost_exits_4(self, capsys):
         rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
